@@ -13,14 +13,15 @@ treated as a typo (see the design notes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from quarterplane.layers import lf_membership_scalar_batch, viscous_member_scalar
 from quarterplane.riemann import conjugate_state, cubic_companions, godunov_trace_scalar
-from quarterplane.systems import SystemModel
+from quarterplane.schemes import numerical_flux
+from quarterplane.systems import SystemModel, kruzkov_pair
 
 __all__ = [
     "ScalarSet",
@@ -104,47 +105,32 @@ class AuditReport:
         return not self.violations
 
 
-# --- Interval extrema (exact, via critical points) ---------------------------
-
-
-def _interval_extremum(model, a, b, which):
-    lo, hi = (a, b) if a <= b else (b, a)
-    cands = [lo, hi] + [c for c in model.critical_points if lo < c < hi]
-    vals = np.asarray(model.flux(np.asarray(cands, dtype=float)))
-    return float(vals.max() if which == "max" else vals.min())
-
-
 # --- Pointwise checks --------------------------------------------------------
 
 
-def bln_check(model: SystemModel, u_0: float, u_B: float) -> bool:
-    """Pointwise sign-condition test for scalar boundary data, evaluated
-    exactly: for u_0 < u_B it reduces to f(u_0) >= max f on [u_0, u_B], for
-    u_0 > u_B to f(u_0) <= min f on [u_B, u_0]."""
+def kruzkov_worst(model: SystemModel, u_0, u_B: float):
+    """sup over k of the boundary entropy expression for the |u - k| family,
+    elementwise over u_0.
+
+    The supremum is attained at an extremum of f between the two states,
+    which is the Godunov flux g(u_B, u_0) = f(R(u_B, u_0)): it equals
+    2 sgn(u_B - u_0) (g(u_B, u_0) - f(u_0)).
+    """
+    u_0 = np.asarray(u_0, dtype=float)
+    g = np.asarray(model.flux(godunov_trace_scalar(model, u_B, u_0)))
+    worst = 2.0 * np.sign(u_B - u_0) * (g - np.asarray(model.flux(u_0)))
+    return float(worst) if worst.ndim == 0 else worst
+
+
+def bln_check(model: SystemModel, u_0, u_B: float):
+    """Pointwise sign-condition test for scalar boundary data, elementwise
+    over u_0 and evaluated exactly: for u_0 < u_B it reduces to
+    f(u_0) >= max f on [u_0, u_B], for u_0 > u_B to f(u_0) <= min f on
+    [u_B, u_0], which is kruzkov_worst <= 0."""
     if model.dimension != 1:
         raise ValueError("scalar models only")
-    u_0, u_B = float(u_0), float(u_B)
-    if u_0 == u_B:
-        return True
-    f0 = float(model.flux(u_0))
-    if u_0 < u_B:
-        return f0 >= _interval_extremum(model, u_0, u_B, "max") - TOL_SET
-    return f0 <= _interval_extremum(model, u_0, u_B, "min") + TOL_SET
-
-
-def kruzkov_worst(model: SystemModel, u_0: float, u_B: float) -> float:
-    """sup over k of the boundary entropy expression for the |u - k| family.
-
-    The supremum is attained at an extremum of f between the two states:
-    2 (max f - f(u_0)) for u_0 < u_B and 2 (f(u_0) - min f) for u_0 > u_B.
-    """
-    u_0, u_B = float(u_0), float(u_B)
-    if u_0 == u_B:
-        return 0.0
-    f0 = float(model.flux(u_0))
-    if u_0 < u_B:
-        return 2.0 * (_interval_extremum(model, u_0, u_B, "max") - f0)
-    return 2.0 * (f0 - _interval_extremum(model, u_0, u_B, "min"))
+    ok = np.asarray(kruzkov_worst(model, u_0, u_B)) <= 2.0 * TOL_SET
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def entropy_check(model: SystemModel, u_0, u_B, pairs=None):
@@ -170,36 +156,6 @@ def entropy_check(model: SystemModel, u_0, u_B, pairs=None):
 # --- Scheme-level entropy checks ---------------------------------------------
 
 
-def _kruzkov_terms(model, k, u):
-    """U and F of the |u - k| family, vectorized over both arguments."""
-    k = np.asarray(k, dtype=float)
-    u = np.asarray(u, dtype=float)
-    sign = np.sign(u - k)
-    return np.abs(u - k), sign * (np.asarray(model.flux(u)) - np.asarray(model.flux(k)))
-
-
-def _numerical_entropy_flux(model, scheme, k, v, w):
-    """G_k(v, w) for the Kruzkov family under the given scheme."""
-    if scheme[0] == "lf":
-        _, lam, q = scheme
-        coeff = q / lam
-        u_v, f_v = _kruzkov_terms(model, k, v)
-        u_w, f_w = _kruzkov_terms(model, k, w)
-        return 0.5 * (f_v + f_w) - coeff * (u_w - u_v)
-    if scheme[0] == "godunov":
-        r = godunov_trace_scalar(model, np.broadcast_to(np.asarray(v, dtype=float), np.shape(w))
-                                 if np.shape(v) != np.shape(w) else v, w)
-        _, f_r = _kruzkov_terms(model, k, r)
-        return f_r
-    raise ValueError("scheme must be ('lf', lam, q) or ('godunov',)")
-
-
-def _witness_margin(model, scheme, u_0, u_B, v_1, k_grid):
-    _, f_0 = _kruzkov_terms(model, k_grid, u_0)
-    g = _numerical_entropy_flux(model, scheme, k_grid, u_B, v_1)
-    return float(np.min(g - f_0))
-
-
 def scheme_entropy_check(model: SystemModel, scheme, u_0: float, u_B: float,
                          v_1=None, box=(-3.0, 3.0), n_grid=601) -> bool:
     """Existence of an interior witness v_1 with G_k(u_B, v_1) >= F_k(u_0)
@@ -211,24 +167,26 @@ def scheme_entropy_check(model: SystemModel, scheme, u_0: float, u_B: float,
         raise ValueError("scalar models only")
     lo = min(box[0], u_0, u_B) - 0.5
     hi = max(box[1], u_0, u_B) + 0.5
-    k_grid = np.linspace(lo, hi, n_grid)
+    pair = kruzkov_pair(model, np.linspace(lo, hi, n_grid))
+    G = numerical_flux(model, scheme, pair.F, pair.U)
+    f_0 = pair.F(u_0)
+
+    def margin(v):  # min over k of G_k(u_B, v) - F_k(u_0); v may be a column
+        return np.min(G(u_B, v) - f_0, axis=-1)
+
     if v_1 is not None:
-        return _witness_margin(model, scheme, u_0, u_B, float(v_1), k_grid) >= -TOL_SAMPLED
+        return float(margin(float(v_1))) >= -TOL_SAMPLED
 
     v_grid = np.linspace(lo, hi, n_grid)
-    _, f_0 = _kruzkov_terms(model, k_grid, u_0)
-    g = _numerical_entropy_flux(model, scheme, k_grid[None, :], u_B,
-                                v_grid[:, None])
-    margins = np.min(g - f_0[None, :], axis=1)
+    margins = margin(v_grid[:, None])
     best = int(np.argmax(margins))
     if margins[best] >= -TOL_SAMPLED:
         return True
     bracket_lo = v_grid[max(best - 1, 0)]
     bracket_hi = v_grid[min(best + 1, n_grid - 1)]
-    res = minimize_scalar(
-        lambda v: -_witness_margin(model, scheme, u_0, u_B, v, k_grid),
-        bounds=(bracket_lo, bracket_hi), method="bounded",
-        options={"xatol": 1e-10})
+    res = minimize_scalar(lambda v: -float(margin(v)),
+                          bounds=(bracket_lo, bracket_hi), method="bounded",
+                          options={"xatol": 1e-10})
     return -res.fun >= -TOL_SAMPLED
 
 
@@ -313,7 +271,7 @@ def layer_set_scalar(model: SystemModel, u_B: float, regularization) -> ScalarSe
     CFL hypothesis sup_{[-8M, 8M]} |f'| * lam / q <= 1."""
     if isinstance(regularization, tuple) and regularization[0] == "lf":
         _, lam, q = regularization
-        m_window = 8.0 * max(2.0, abs(u_B), 3.0)
+        m_window = 8.0 * max(abs(u_B), 3.0)
         grid = np.linspace(-m_window, m_window, 4001)
         sup_fp = float(np.max(np.abs(np.asarray(model.dflux(grid)))))
         if sup_fp * lam / q > 1.0 + 1e-12:
@@ -361,9 +319,8 @@ def inclusion_audit(model: SystemModel, u_B, regularization, n_samples: int = 10
         members = layer_member_oracle(model, float(u_B), samples, regularization) \
             if n_samples else np.zeros(0, dtype=bool)
         n_members = int(members.sum())
-        for x in samples[members]:
-            if kruzkov_worst(model, float(x), float(u_B)) > TOL_SAMPLED:
-                violations.append(float(x))
+        worst = kruzkov_worst(model, samples[members], float(u_B))
+        violations = samples[members][worst > TOL_SAMPLED].tolist()
         return AuditReport(model.name, float(u_B), regularization, n_samples,
                            n_members, tuple(violations))
 

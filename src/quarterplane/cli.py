@@ -92,22 +92,24 @@ def validate_config(cfg: dict) -> None:
         _require(cfg, "params", dict)
 
 
-def _piecewise(table, fallback_axis):
-    """Constant or piecewise-constant data given as [[coord, value], ...]."""
-    if isinstance(table, (int, float)):
+def _piecewise(table, dimension):
+    """Constant or piecewise-constant data: a number (scalar models) or a
+    table [[coord, value], ...] whose values are numbers (scalar models) or
+    state lists (2x2 systems)."""
+    if dimension == 1 and isinstance(table, (int, float)):
         return float(table)
-    pts = sorted((float(a), b) for a, b in table)
-    coords = np.array([a for a, _ in pts])
-    vals = [b for _, b in pts]
-    scalar = isinstance(vals[0], (int, float))
+    try:
+        pts = sorted((float(a), b) for a, b in table)
+        coords = np.array([a for a, _ in pts])
+        vals = np.array([b for _, b in pts], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"data: {table!r} is not a [[coord, value], ...] table") from exc
+    if not pts or vals.shape[1:] != (() if dimension == 1 else (dimension,)):
+        raise SchemaError(f"data: {table!r} does not hold {dimension}-component states")
 
     def fn(x):
         idx = np.searchsorted(coords, np.asarray(x), side="right") - 1
-        idx = np.clip(idx, 0, len(vals) - 1)
-        if scalar:
-            return np.asarray([vals[i] for i in np.atleast_1d(idx)], dtype=float) \
-                if np.ndim(x) else float(vals[int(idx)])
-        return np.asarray(vals[int(idx)], dtype=float)
+        return vals[np.clip(idx, 0, len(vals) - 1)]
     return fn
 
 
@@ -171,8 +173,8 @@ def _run_scheme(model, cfg, override=None):
         scheme.update(override)
     grid = cfg["grid"]
     data = cfg["data"]
-    u0 = _piecewise(data["u_I"], "x")
-    u_B = _piecewise(data["u_B"], "t")
+    u0 = _piecewise(data["u_I"], model.dimension)
+    u_B = _piecewise(data["u_B"], model.dimension)
     n_cells = int(grid["cells"])
     h = float(grid["x_max"]) / n_cells
     common = dict(h=h, t_end=float(grid["t_end"]), n_cells=n_cells,
@@ -313,8 +315,8 @@ def task_admissible(cfg, out, seed, jobs):
     }
     oracle_reg = p.get("oracle")
     rows = []
-    bln = [adm.bln_check(model, float(x), u_B) for x in grid]
-    kru = [adm.kruzkov_worst(model, float(x), u_B) <= 1e-9 for x in grid]
+    bln = adm.bln_check(model, grid, u_B)
+    kru = adm.kruzkov_worst(model, grid, u_B) <= 1e-9
     visc = adm.layer_member_oracle(model, u_B, grid, "viscous")
     columns = {"bln": bln, "kruzkov": kru, "viscous_layer": visc,
                "riemann_closed_form": rset.member_grid(grid)}
@@ -346,16 +348,11 @@ def task_riemann(cfg, out, seed, jobs):
         write_csv(os.path.join(out, "regions.csv"), ["rho", "u", "region"],
                   [(r, u, reg) for (r, u), reg in zip(states, regions)])
         result["regions"] = regions
-    elif model.dimension == 1:
-        fan = riemann.scalar_riemann_trace(model, float(p["left"]), float(p["right"]))
-        result.update({
-            "trace": fan.trace_at_zero_plus,
-            "flux_at_zero": fan.flux_at_zero,
-            "waves": [{"kind": w.kind, "left": w.left, "right": w.right,
-                       "speed_range": list(w.speed_range)} for w in fan.waves],
-        })
     else:
-        fan = riemann.psystem_riemann_trace(model, p["left"], p["right"])
+        if model.dimension == 1:
+            fan = riemann.scalar_riemann_trace(model, float(p["left"]), float(p["right"]))
+        else:
+            fan = riemann.psystem_riemann_trace(model, p["left"], p["right"])
         result.update({
             "trace": fan.trace_at_zero_plus,
             "flux_at_zero": fan.flux_at_zero,
@@ -372,40 +369,29 @@ def task_study(cfg, out, seed, jobs):
     param = sweep["parameter"]
     values = [float(v) for v in sweep["values"]]
 
-    def one(v):
+    def solve(v):
         if param == "eps":
-            sol = _run_scheme(model, cfg, override={"eps": v})
-        elif param == "cells":
-            grid = dict(cfg["grid"])
-            grid["cells"] = int(v)
-            sol = _run_scheme(model, {**cfg, "grid": grid})
-        else:
-            raise SchemaError(f"unknown sweep parameter {param!r}")
-        rep = diagnostics.extract_boundary_trace(model, sol)
-        return rep
+            return _run_scheme(model, cfg, override={"eps": v})
+        if param == "cells":
+            return _run_scheme(model, {**cfg, "grid": {**cfg["grid"], "cells": int(v)}})
+        raise SchemaError(f"unknown sweep parameter {param!r}")
 
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        reps = list(pool.map(one, values))
+        sols = list(pool.map(solve, values))
+    rows, flags = diagnostics.convergence_study(
+        model, dict(zip(values, sols)).__getitem__, values,
+        expected_trace=sweep.get("expected_trace"))
 
-    expected = sweep.get("expected_trace")
-    rows = []
-    for v, rep in zip(values, reps):
-        err = ""
-        if expected is not None:
-            err = float(np.linalg.norm(np.atleast_1d(rep.trace)
-                                       - np.atleast_1d(np.asarray(expected, dtype=float))))
-        rows.append((v, *np.atleast_1d(rep.trace).tolist(),
-                     err, diagnostics.boundary_entropy_residual(model, rep),
-                     rep.bv_proxy))
-    n_comp = np.atleast_1d(reps[0].trace).size
+    n_comp = np.atleast_1d(rows[0].trace).size
     header = [param] + [f"trace{i + 1}" for i in range(n_comp)] \
         + ["trace_error", "entropy_residual", "bv_proxy"]
-    write_csv(os.path.join(out, "study.csv"), header, rows)
-    errs = [r[n_comp + 1] for r in rows if r[n_comp + 1] != ""]
+    write_csv(os.path.join(out, "study.csv"), header,
+              [(r.parameter, *np.atleast_1d(r.trace).tolist(),
+                "" if r.trace_error is None else r.trace_error,
+                r.entropy_residual, r.bv_proxy) for r in rows])
     summary = {"parameter": param, "values": values,
-               "trace_errors": errs,
-               "trace_error_decreasing": (all(b <= 1.5 * a for a, b in zip(errs, errs[1:]))
-                                          and errs[-1] <= errs[0]) if len(errs) > 1 else None}
+               "trace_errors": [r.trace_error for r in rows if r.trace_error is not None],
+               "trace_error_decreasing": flags["trace_error_decreasing"]}
     write_json(os.path.join(out, "study.json"), summary)
     return summary
 

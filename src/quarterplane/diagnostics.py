@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from quarterplane.admissible import entropy_check
 from quarterplane.schemes import GridSolution
 from quarterplane.systems import SystemModel
 
@@ -112,15 +113,7 @@ def boundary_entropy_residual(model: SystemModel, report: TraceReport,
                               pairs=None) -> float:
     """Worst boundary entropy expression F(u_0) - F(u_B) - grad U(u_B).(f(u_0) - f(u_B))
     over the supplied pairs, evaluated at the extracted trace."""
-    from quarterplane.admissible import entropy_check
-
-    scalar = np.ndim(report.trace) == 0 or np.size(report.trace) == 1
-    u0 = float(np.atleast_1d(report.trace)[0]) if scalar and model.dimension == 1 \
-        else np.asarray(report.trace)
-    uB = float(np.atleast_1d(report.u_B)[0]) if scalar and model.dimension == 1 \
-        else np.asarray(report.u_B)
-    _, worst = entropy_check(model, u0, uB, pairs)
-    return worst
+    return entropy_check(model, report.trace, report.u_B, pairs)[1]
 
 
 @dataclass(frozen=True)

@@ -143,12 +143,6 @@ def viscous_layer_profile(model: SystemModel, u_B, v_inf, y_max: float = 200.0) 
     return LayerProfile("continuous", ys, states, u0, vi, verdict, d_end)
 
 
-def _interval_candidates(model, a, b):
-    lo, hi = min(a, b), max(a, b)
-    pts = [c for c in model.critical_points if lo < c < hi]
-    return pts
-
-
 def viscous_member_scalar(model: SystemModel, u_B: float, v_inf: float) -> bool:
     """Exact phase-line membership test for the scalar layer ODE v' = f(v) - f(v_inf).
 
@@ -163,7 +157,8 @@ def viscous_member_scalar(model: SystemModel, u_B: float, v_inf: float) -> bool:
         return True
     f = model.flux
     fv = float(f(v_inf))
-    cands = _interval_candidates(model, u_B, v_inf) + [u_B]
+    lo, hi = min(u_B, v_inf), max(u_B, v_inf)
+    cands = [c for c in model.critical_points if lo < c < hi] + [u_B]
     vals = np.asarray(f(np.asarray(cands)))
     if v_inf < u_B:
         return bool(np.all(vals < fv))

@@ -9,7 +9,7 @@ stationary shock therefore contributes its *right* state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -137,13 +137,13 @@ def _grid_env_waves(model, a, b, lower):
             s = _chord_speed(f, u0, u1)
             waves.append(Wave("shock", u0, u1, (s, s)))
         else:
-            s0 = _grid_slope(model, u0, step, left_first)
-            s1 = _grid_slope(model, u1, step, left_first)
+            s0 = _grid_slope(model, u0, step)
+            s1 = _grid_slope(model, u1, step)
             waves.append(Wave("rarefaction", u0, u1, (min(s0, s1), max(s0, s1))))
     return waves
 
 
-def _grid_slope(model, u, step, left_first):
+def _grid_slope(model, u, step):
     if model.dflux is not None:
         return float(model.dflux(u))
     f = model.flux
@@ -153,13 +153,9 @@ def _grid_slope(model, u, step, left_first):
 def _scalar_waves(model, ul, ur):
     if ul == ur:
         return []
-    if model.name in ("burgers", "cubic") or model.flux_convex:
-        if ul < ur:
-            return _convex_env_waves_analytic(model, ul, ur)
-        return _concave_env_waves_analytic(model, ul, ur)
     if ul < ur:
-        return _grid_env_waves(model, ul, ur, lower=True)
-    return _grid_env_waves(model, ul, ur, lower=False)
+        return _convex_env_waves_analytic(model, ul, ur)
+    return _concave_env_waves_analytic(model, ul, ur)
 
 
 def _sonic_state(model, w: Wave):
@@ -302,50 +298,34 @@ def _sqrt_sigma_p_integral(model, v0, v1):
     return val
 
 
-def _phi1(model, v, left):
-    """u on the forward 1-wave curve through ``left`` at specific strain v."""
-    vl, ul = left
+def _wave_offset(model, v, v_end):
+    """u - u_end along the wave curve through the state with strain v_end:
+    the rarefaction integral for v <= v_end, the shock chord otherwise."""
+    if v <= v_end:
+        return _sqrt_sigma_p_integral(model, v_end, v)
     sig = model.params["sigma"]
-    if v <= vl:
-        return ul + _sqrt_sigma_p_integral(model, vl, v)
-    dsig = float(sig(v)) - float(sig(vl))
-    return ul + np.sqrt(dsig * (v - vl))
+    return np.sqrt((float(sig(v)) - float(sig(v_end))) * (v - v_end))
 
 
-def _dphi1(model, v, left):
-    vl, _ = left
+def _wave_slope(model, v, v_end):
+    """d/dv of ``_wave_offset``."""
     sig, sp = model.params["sigma"], model.params["sigma_prime"]
-    if v <= vl:
-        return np.sqrt(float(sp(v)))
-    dv = v - vl
-    dsig = float(sig(v)) - float(sig(vl))
+    dv = v - v_end
+    dsig = float(sig(v)) - float(sig(v_end))
     prod = dsig * dv
-    if prod <= 0.0:
+    if v <= v_end or prod <= 0.0:
         return np.sqrt(float(sp(v)))
     return (float(sp(v)) * dv + dsig) / (2.0 * np.sqrt(prod))
 
 
+def _phi1(model, v, left):
+    """u on the forward 1-wave curve through ``left`` at specific strain v."""
+    return left[1] + _wave_offset(model, v, left[0])
+
+
 def _phi2(model, v, right):
     """u of the middle state whose 2-wave reaches ``right``."""
-    vr, ur = right
-    sig = model.params["sigma"]
-    if v <= vr:
-        return ur + _sqrt_sigma_p_integral(model, v, vr)
-    dsig = float(sig(v)) - float(sig(vr))
-    return ur - np.sqrt(dsig * (v - vr))
-
-
-def _dphi2(model, v, right):
-    vr, _ = right
-    sig, sp = model.params["sigma"], model.params["sigma_prime"]
-    if v <= vr:
-        return -np.sqrt(float(sp(v)))
-    dv = v - vr
-    dsig = float(sig(v)) - float(sig(vr))
-    prod = dsig * dv
-    if prod <= 0.0:
-        return -np.sqrt(float(sp(v)))
-    return -(float(sp(v)) * dv + dsig) / (2.0 * np.sqrt(prod))
+    return right[1] - _wave_offset(model, v, right[0])
 
 
 def psystem_riemann_trace(model: SystemModel, left, right,
@@ -367,7 +347,7 @@ def psystem_riemann_trace(model: SystemModel, left, right,
         return _phi1(model, v, left) - _phi2(model, v, right)
 
     def dg(v):
-        return _dphi1(model, v, left) - _dphi2(model, v, right)
+        return _wave_slope(model, v, left[0]) + _wave_slope(model, v, right[0])
 
     v = 0.5 * (left[0] + right[0])
     gv = g(v)

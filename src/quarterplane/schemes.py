@@ -1,14 +1,21 @@
 """Finite-difference schemes on the quarter plane x > 0, t > 0.
 
-All conservative schemes share the update
+All four schemes (LF-type, flux splitting, Godunov, viscous) share one
+conservative update
     u_j^{n+1} = u_j^n - lam (g(u_j, u_{j+1}) - g(u_{j-1}, u_j)),   lam = tau/h,
-with the boundary imposed by pinning cell 0 to u_B(t) each step and a copy
-ghost on the right.  Cell centers sit at x_j = (j + 1/2) h, so cell 0 covers
-[0, h) and the pinned cell lines up with the y = 0 iterate of the discrete
-layer recursion.
+on cells centered at x_j = (j + 1/2) h, with a copy ghost on the right.  The
+left boundary is closed in one of two ways:
 
-The viscous solver discretizes u_t + f(u)_x = eps (B(u) u_x)_x with central
-differences and a reflecting Dirichlet ghost 2 u_B - u_0 on the left.
+- LF-type, split and Godunov pin cell 0 to u_B(t) each step, so the pinned
+  cell lines up with the y = 0 iterate of the discrete layer recursion;
+- the viscous scheme updates every cell and puts the reflecting Dirichlet
+  ghost 2 u_B - u_0 left of cell 0.
+
+The viscous scheme discretizes u_t + f(u)_x = eps (B u_x)_x by central
+differences, which is the LF-type flux
+    g(v, w) = (f(v) + f(w)) / 2 - C (w - v)
+with its coefficient C = Q/lam replaced by eps B/h.  B must therefore be
+constant and diagonal, as it is for every built-in model.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
     "lf_splitting",
     "run_godunov",
     "run_viscous",
+    "numerical_flux",
     "discrete_entropy_residual",
 ]
 
@@ -87,11 +95,8 @@ def _initial_cells(model, u0, xs):
 
 
 def _data_speed(model, cells, ub_val):
-    speeds = np.asarray(model.max_char_speed(cells), dtype=float)
-    sb = np.asarray(model.max_char_speed(np.atleast_1d(np.asarray(ub_val))
-                                         if model.dimension == 1 else
-                                         np.asarray(ub_val)[None, :]), dtype=float)
-    return float(max(speeds.max(), sb.max()))
+    states = np.concatenate([cells, np.asarray(ub_val, dtype=float)[None]])
+    return float(np.max(model.max_char_speed(states)))
 
 
 def _snapshot_steps(n_steps, n_snapshots):
@@ -101,44 +106,47 @@ def _snapshot_steps(n_steps, n_snapshots):
     return idx
 
 
-def _mass(cells):
-    return np.sum(cells[1:], axis=0)
-
-
-def _run_conservative(model, scheme, flux_fn, u0, u_B, *, h, lam, q, t_end,
-                      n_cells, n_snapshots, store_all, speed_bound):
-    tau = lam * h
+def _start(model, u0, u_B, h, n_cells, pinned):
+    """Cell centers, boundary function, initial cells (cell 0 pinned to
+    u_B(0) if asked) and the largest characteristic speed of the data."""
     xs = (np.arange(n_cells) + 0.5) * h
     ub = _as_boundary(u_B, model.dimension)
     cells = _initial_cells(model, u0, xs)
-    cells[0] = ub(0.0)
+    if pinned:
+        cells[0] = ub(0.0)
+    return xs, ub, cells, _data_speed(model, cells, ub(0.0))
 
-    alpha = _data_speed(model, cells, ub(0.0))
-    if lam * alpha > speed_bound * (1.0 + 1e-12):
-        raise CFLError(
-            f"{scheme}: lam * max|char speed| = {lam * alpha:.3g} exceeds {speed_bound:.3g}")
 
-    n_steps = max(int(np.ceil(t_end / tau - 1e-12)), 0)
+def _march(model, scheme, flux, xs, ub, cells, *, h, tau, ratio, n_steps, pinned,
+           n_snapshots, store_all, **fields):
+    """The time loop shared by all schemes: u -= ratio (g_{j+1/2} - g_{j-1/2})
+    with g = flux(ext[:-1], ext[1:]), where ext is the cells plus a copy
+    ghost on the right and, unless cell 0 is pinned, the reflecting ghost
+    2 u_B - u_0 on the left."""
+    first = 1 if pinned else 0  # cells[first:] are updated and carry the mass
+    ext = np.empty((cells.shape[0] + 2 - first,) + cells.shape[1:])
+    ext[1 - first:-1] = cells
+    cells = ext[1 - first:-1]  # a view: updating the cells updates ext
     snap_idx = _snapshot_steps(n_steps, n_snapshots)
     snaps = [cells.copy()] if 0 in snap_idx else []
     snap_times = [0.0] if 0 in snap_idx else []
     ub_samples = [np.asarray(ub(0.0), dtype=float)] if 0 in snap_idx else []
     history = [cells.copy()] if store_all else None
 
-    mass0 = _mass(cells)
-    g_left_int = np.zeros_like(np.atleast_1d(mass0), dtype=float)
+    mass0 = np.atleast_1d(np.sum(cells[first:], axis=0))
+    g_left_int = np.zeros_like(mass0, dtype=float)
     g_right_int = np.zeros_like(g_left_int)
 
     for n in range(1, n_steps + 1):
-        left = cells
-        right = np.concatenate([cells[1:], cells[-1:]], axis=0)
-        g = flux_fn(left, right)  # g[j] at interface j+1/2, j = 0..M-1
-        new = cells.copy()
-        new[1:] = cells[1:] - lam * (g[1:] - g[:-1])
-        new[0] = ub(n * tau)
+        if not pinned:
+            ext[0] = 2.0 * np.asarray(ub((n - 1) * tau)) - cells[0]
+        ext[-1] = cells[-1]
+        g = flux(ext[:-1], ext[1:])  # g[0] at the first updated cell's left face
+        cells[first:] -= ratio * (g[1:] - g[:-1])
+        if pinned:
+            cells[0] = ub(n * tau)
         g_left_int += tau * np.atleast_1d(g[0])
         g_right_int += tau * np.atleast_1d(g[-1])
-        cells = new
         if store_all:
             history.append(cells.copy())
         if n in snap_idx:
@@ -147,19 +155,49 @@ def _run_conservative(model, scheme, flux_fn, u0, u_B, *, h, lam, q, t_end,
             ub_samples.append(np.asarray(ub(n * tau), dtype=float))
 
     return GridSolution(
-        scheme=scheme, model_name=model.name, xs=xs, h=h, tau=tau, lam=lam, q=q,
+        scheme=scheme, model_name=model.name, xs=xs, h=h, tau=tau,
         times=np.asarray(snap_times), snapshots=np.asarray(snaps),
-        mass_initial=np.atleast_1d(mass0) * h, mass_final=np.atleast_1d(_mass(cells)) * h,
+        mass_initial=mass0 * h, mass_final=np.atleast_1d(np.sum(cells[first:], axis=0)) * h,
         flux_time_integral_left=g_left_int, flux_time_integral_right=g_right_int,
         history=np.asarray(history) if store_all else None,
-        boundary_samples=np.asarray(ub_samples),
+        boundary_samples=np.asarray(ub_samples), **fields,
     )
 
 
-def _lf_flux(model, coeff):
-    def g(v, w):
-        return 0.5 * (np.asarray(model.flux(v)) + np.asarray(model.flux(w))) - coeff * (w - v)
-    return g
+def _run_conservative(model, scheme, flux, u0, u_B, *, h, lam, q, t_end,
+                      n_cells, n_snapshots, store_all, speed_bound):
+    xs, ub, cells, alpha = _start(model, u0, u_B, h, n_cells, pinned=True)
+    if lam * alpha > speed_bound * (1.0 + 1e-12):
+        raise CFLError(
+            f"{scheme}: lam * max|char speed| = {lam * alpha:.3g} exceeds {speed_bound:.3g}")
+    tau = lam * h
+    n_steps = max(int(np.ceil(t_end / tau - 1e-12)), 0)
+    return _march(model, scheme, flux, xs, ub, cells, h=h, tau=tau, ratio=lam,
+                  n_steps=n_steps, pinned=True, n_snapshots=n_snapshots,
+                  store_all=store_all, lam=lam, q=q)
+
+
+def numerical_flux(model: SystemModel, scheme, F=None, U=None):
+    """Numerical flux G(v, w) of ``scheme`` for the entropy pair (U, F).
+
+    ``scheme`` is ("lf", lam, q) or ("godunov",):
+        LF-type:  G(v, w) = (F(v) + F(w)) / 2 - (Q/lam) (U(w) - U(v))
+        Godunov:  G(v, w) = F(R(v, w))
+    The default pair (u, f) gives the scheme's own flux g(v, w).
+    """
+    F = model.flux if F is None else F
+    U = (lambda u: u) if U is None else U
+    if scheme[0] == "lf":
+        _, lam, q = scheme
+        coeff = q / lam
+
+        def G(v, w):
+            return 0.5 * (np.asarray(F(v)) + np.asarray(F(w))) \
+                - coeff * (np.asarray(U(w)) - np.asarray(U(v)))
+        return G
+    if scheme[0] == "godunov":
+        return lambda v, w: np.asarray(F(godunov_trace_scalar(model, v, w)))
+    raise ValueError("scheme must be ('lf', lam, q) or ('godunov',)")
 
 
 def lf_splitting(model, coeff):
@@ -195,7 +233,7 @@ def run_lf(model: SystemModel, u0, u_B, *, h, lam, q, t_end,
     if not 0.0 < q < 1.0:
         raise CFLError("q must lie in (0, 1)")
     n_cells = n_cells or 200
-    return _run_conservative(model, "lf", _lf_flux(model, q / lam), u0, u_B,
+    return _run_conservative(model, "lf", numerical_flux(model, ("lf", lam, q)), u0, u_B,
                              h=h, lam=lam, q=q, t_end=t_end, n_cells=n_cells,
                              n_snapshots=n_snapshots, store_all=store_all,
                              speed_bound=q)
@@ -234,109 +272,35 @@ def run_godunov(model: SystemModel, u0, u_B, *, h, lam, t_end,
     if model.dimension != 1:
         raise ValueError("run_godunov supports scalar models")
     n_cells = n_cells or 200
-
-    def g(v, w):
-        return np.asarray(model.flux(godunov_trace_scalar(model, v, w)))
-
-    return _run_conservative(model, "godunov", g, u0, u_B,
+    return _run_conservative(model, "godunov", numerical_flux(model, ("godunov",)), u0, u_B,
                              h=h, lam=lam, q=None, t_end=t_end, n_cells=n_cells,
                              n_snapshots=n_snapshots, store_all=store_all,
                              speed_bound=1.0)
 
 
+def _constant_diagonal_viscosity(model, states):
+    """Diagonal of B, checked to be diagonal and equal at the given states."""
+    mats = [np.atleast_2d(np.asarray(model.viscosity(s), dtype=float)) for s in states]
+    b = mats[0]
+    if any(not np.array_equal(m, b) for m in mats[1:]) or np.any(b != np.diag(np.diag(b))):
+        raise ValueError("run_viscous needs a constant diagonal viscosity matrix B")
+    return np.diag(b)
+
+
 def run_viscous(model: SystemModel, u0, u_B, *, h, eps, t_end,
                 n_cells=None, cfl=0.9, n_snapshots=33, store_all=False) -> GridSolution:
-    """Explicit central scheme for u_t + f(u)_x = eps (B(u) u_x)_x."""
-    n_cells = n_cells or 200
-    xs = (np.arange(n_cells) + 0.5) * h
-    ub = _as_boundary(u_B, model.dimension)
-    cells = _initial_cells(model, u0, xs)
-    scalar = model.dimension == 1
-
-    alpha = _data_speed(model, cells, ub(0.0))
+    """Explicit central scheme for u_t + f(u)_x = eps (B u_x)_x, B constant
+    and diagonal (raises ValueError otherwise)."""
+    xs, ub, cells, alpha = _start(model, u0, u_B, h, n_cells or 200, pinned=False)
+    b = _constant_diagonal_viscosity(model, [cells[0], cells[-1], ub(0.0)])
     tau = cfl * min(h / max(alpha, 1e-12), h * h / (2.0 * eps))
     n_steps = max(int(np.ceil(t_end / tau - 1e-12)), 1)
     tau = t_end / n_steps
-    snap_idx = _snapshot_steps(n_steps, n_snapshots)
-    snaps = [cells.copy()] if 0 in snap_idx else []
-    snap_times = [0.0] if 0 in snap_idx else []
-    ub_samples = [np.asarray(ub(0.0), dtype=float)] if 0 in snap_idx else []
-    history = [cells.copy()] if store_all else None
-
-    mass0 = np.sum(cells, axis=0)
-    fl_int = np.zeros_like(np.atleast_1d(mass0), dtype=float)
-    fr_int = np.zeros_like(fl_int)
-
-    # most viscosity matrices here are state-independent; detect that once
-    # and skip the per-cell evaluation loop
-    probes = [cells[0], cells[-1], np.asarray(ub(0.0))]
-    b_samples = [np.atleast_2d(np.asarray(model.viscosity(
-        float(np.atleast_1d(p)[0]) if scalar else p), dtype=float)) for p in probes]
-    b_const = b_samples[0] if all(np.allclose(b_samples[0], b) for b in b_samples[1:]) else None
-
-    def visc_apply(mid_states, jumps):
-        if b_const is not None:
-            if scalar:
-                return float(b_const[0, 0]) * jumps
-            return jumps @ b_const.T
-        if scalar:
-            b = np.asarray([float(np.atleast_2d(model.viscosity(float(s)))[0, 0])
-                            for s in mid_states])
-            return b * jumps
-        return np.einsum("jab,jb->ja",
-                         np.asarray([model.viscosity(s) for s in mid_states]), jumps)
-
-    for n in range(1, n_steps + 1):
-        gl = 2.0 * np.asarray(ub((n - 1) * tau)) - cells[0]
-        ext = np.concatenate([np.atleast_1d(gl) if scalar else gl[None, :],
-                              cells, cells[-1:]], axis=0)
-        fvals = np.asarray(model.flux(ext))
-        adv = (fvals[2:] - fvals[:-2]) / (2.0 * h)
-        faces_mid = 0.5 * (ext[:-1] + ext[1:])
-        jumps = (ext[1:] - ext[:-1]) / h
-        dflux = visc_apply(faces_mid, jumps)  # B u_x at interfaces
-        diff = (dflux[1:] - dflux[:-1]) / h
-        # total flux f - eps B u_x at the physical boundary faces
-        fl = 0.5 * (fvals[0] + fvals[1]) - eps * dflux[0]
-        fr = 0.5 * (fvals[-2] + fvals[-1]) - eps * dflux[-1]
-        fl_int += tau * np.atleast_1d(fl)
-        fr_int += tau * np.atleast_1d(fr)
-        cells = cells - tau * adv + eps * tau * diff
-        if store_all:
-            history.append(cells.copy())
-        if n in snap_idx:
-            snaps.append(cells.copy())
-            snap_times.append(n * tau)
-            ub_samples.append(np.asarray(ub(n * tau), dtype=float))
-
-    return GridSolution(
-        scheme="viscous", model_name=model.name, xs=xs, h=h, tau=tau, lam=None, q=None,
-        times=np.asarray(snap_times), snapshots=np.asarray(snaps),
-        mass_initial=np.atleast_1d(mass0) * h,
-        mass_final=np.atleast_1d(np.sum(cells, axis=0)) * h,
-        flux_time_integral_left=fl_int, flux_time_integral_right=fr_int,
-        history=np.asarray(history) if store_all else None,
-        eps=eps, boundary_samples=np.asarray(ub_samples),
-    )
-
-
-def _entropy_flux_fn(model, pair, sol):
-    """Numerical entropy flux G matched to the scheme of ``sol``."""
-    if sol.scheme in ("lf", "split"):
-        if sol.q is None:
-            raise ValueError("entropy flux is only known for the built-in splitting")
-        coeff = sol.q / sol.lam
-
-        def G(v, w):
-            return 0.5 * (np.asarray(pair.F(v)) + np.asarray(pair.F(w))) \
-                - coeff * (np.asarray(pair.U(w)) - np.asarray(pair.U(v)))
-        return G
-    if sol.scheme == "godunov":
-        def G(v, w):
-            r = godunov_trace_scalar(model, v, w)
-            return np.asarray(pair.F(r))
-        return G
-    raise ValueError(f"no entropy flux for scheme {sol.scheme!r}")
+    # the central step is the LF-type flux difference with Q/lam -> eps B/h
+    flux = numerical_flux(model, ("lf", h, eps * b))
+    return _march(model, "viscous", flux, xs, ub, cells, h=h, tau=tau, ratio=tau / h,
+                  n_steps=n_steps, pinned=False, n_snapshots=n_snapshots,
+                  store_all=store_all, lam=None, q=None, eps=eps)
 
 
 def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
@@ -350,11 +314,19 @@ def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
     """
     if sol.history is None:
         raise ValueError("run the scheme with store_all=True first")
+    if sol.scheme in ("lf", "split"):
+        if sol.q is None:
+            raise ValueError("entropy flux is only known for the built-in splitting")
+        scheme = ("lf", sol.lam, sol.q)
+    elif sol.scheme == "godunov":
+        scheme = ("godunov",)
+    else:
+        raise ValueError(f"no entropy flux for scheme {sol.scheme!r}")
     if pairs is None:
         pairs = model.entropies
     worst = 0.0
     for pair in pairs:
-        G = _entropy_flux_fn(model, pair, sol)
+        G = numerical_flux(model, scheme, pair.F, pair.U)
         for n in range(sol.history.shape[0] - 1):
             cur = sol.history[n]
             nxt = sol.history[n + 1]

@@ -9,7 +9,7 @@ for scalar models are plain floats (or numpy arrays, elementwise); states for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -503,12 +503,14 @@ def classify_euler_region(model: SystemModel, state) -> str:
     return "I"
 
 
-def kruzkov_pair(model: SystemModel, k: float) -> EntropyPair:
-    """The scalar entropy family U = |u - k|, F = sgn(u - k)(f(u) - f(k))."""
+def kruzkov_pair(model: SystemModel, k) -> EntropyPair:
+    """The scalar entropy family U = |u - k|, F = sgn(u - k)(f(u) - f(k)).
+
+    ``k`` may be an array; U and F then broadcast u against it."""
     if model.dimension != 1:
         raise ValueError("the Kruzkov family only exists for scalar models")
     f = model.flux
-    fk = float(f(k))
+    fk = f(k)
 
     def U(u):
         return np.abs(np.asarray(u, dtype=float) - k)
@@ -523,4 +525,5 @@ def kruzkov_pair(model: SystemModel, k: float) -> EntropyPair:
     def hess(u):
         return 0.0 * np.asarray(u, dtype=float)
 
-    return EntropyPair(U, F, grad, hess, "convex", "kruzkov(k=%g)" % k)
+    label = "kruzkov(k=%g)" % k if np.ndim(k) == 0 else "kruzkov(k=array)"
+    return EntropyPair(U, F, grad, hess, "convex", label)

@@ -79,6 +79,19 @@ def test_kruzkov_equals_bln():
             assert bln_check(model, u0, uB) == (kruzkov_worst(model, u0, uB) <= 1e-9)
 
 
+def test_kruzkov_and_bln_accept_arrays():
+    rng = np.random.default_rng(13)
+    for model in (BURGERS, CUBIC):
+        for uB in rng.uniform(-3, 3, 5):
+            u0 = np.concatenate([rng.uniform(-3, 3, 60), model.critical_points, [uB]])
+            worst = kruzkov_worst(model, u0, uB)
+            ok = bln_check(model, u0, uB)
+            assert worst.shape == ok.shape == u0.shape
+            np.testing.assert_allclose(
+                worst, [kruzkov_worst(model, float(x), uB) for x in u0], rtol=0, atol=1e-12)
+            assert ok.tolist() == [bln_check(model, float(x), uB) for x in u0]
+
+
 # Scheme-level entropy checks -------------------------------------------------
 
 

@@ -124,6 +124,39 @@ def test_numerical_failure_exit_3(tmp_path):
     assert rep["error"] == "numerical"
 
 
+def _elasto_lf_config(u_B):
+    return {
+        "task": "simulate",
+        "model": {"name": "elastodynamics"},
+        "scheme": {"type": "lf", "lam": 0.2, "q": 0.5},
+        "grid": {"x_max": 1.0, "cells": 50, "t_end": 0.2},
+        "data": {"u_I": [[0.0, [0.3, 0.1]], [0.5, [0.6, -0.1]]], "u_B": u_B},
+    }
+
+
+def test_simulate_2x2_table_data(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_elasto_lf_config([[0.0, [0.4, 0.0]]])))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "final.csv") as fh:
+        header = fh.readline().strip().split(",")
+        rows = fh.read().strip().splitlines()
+    assert header == ["x", "u1", "u2"]
+    assert len(rows) == 50
+
+
+def test_malformed_state_data_exit_2(tmp_path):
+    # a flat list is not a table; a number is not a 2-component state
+    for i, u_B in enumerate(([0.3, 0.1], 0.3)):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(_elasto_lf_config(u_B)))
+        out = tmp_path / f"out{i}"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        with open(out / "error.json") as fh:
+            assert json.load(fh)["error"] == "schema"
+
+
 def test_failed_verification_exit_3(tmp_path):
     with open(cli.example_path("euler_regions.json")) as fh:
         cfg = json.load(fh)

@@ -77,7 +77,9 @@ def test_godunov_flux_minmax_formula(v, w):
     # min/max of f over the data interval, cross-checked on a fine grid.
     for m in (BURGERS, CUBIC):
         g = float(godunov_flux(m, v, w))
-        grid = np.linspace(min(v, w), max(v, w), 1201)
+        lo, hi = min(v, w), max(v, w)
+        grid = np.linspace(lo, hi, 1201)
+        grid = np.concatenate([grid, [c for c in m.critical_points if lo <= c <= hi]])
         fg = np.asarray(m.flux(grid))
         expected = fg.min() if v <= w else fg.max()
         assert g == pytest.approx(expected, abs=5e-6)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,51 @@ def test_snapshot_times_cover_range():
     assert sol.times[0] == 0.0
     assert sol.times[-1] == pytest.approx(0.5, abs=sol.tau)
     assert len(sol.times) == len(sol.snapshots)
+
+
+def _explicit_central_reference(model, u0, u_B, *, h, eps, tau, n_steps):
+    """Explicit central update for B = I, written out directly:
+    u - tau (f_{j+1} - f_{j-1}) / 2h + eps tau (u_{j+1} - 2 u_j + u_{j-1}) / h^2,
+    reflecting ghost 2 u_B - u_0 on the left, copy ghost on the right.
+    Returns the final cells and the time integrals of the total flux
+    f - eps u_x at the first and last faces."""
+    cells = np.array(u0, dtype=float)
+    u_B = np.asarray(u_B, dtype=float)
+    fl = np.zeros(np.shape(np.atleast_1d(cells[0])))
+    fr = np.zeros_like(fl)
+    for _ in range(n_steps):
+        ext = np.concatenate([(2.0 * u_B - cells[0])[None], cells, cells[-1:]], axis=0)
+        f = np.asarray(model.flux(ext))
+        fl += tau * np.atleast_1d(0.5 * (f[0] + f[1]) - eps * (ext[1] - ext[0]) / h)
+        fr += tau * np.atleast_1d(0.5 * (f[-2] + f[-1]) - eps * (ext[-1] - ext[-2]) / h)
+        cells = (cells - tau * (f[2:] - f[:-2]) / (2.0 * h)
+                 + eps * tau * (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (h * h))
+    return cells, fl, fr
+
+
+def test_viscous_flux_difference_matches_central_update():
+    rng = np.random.default_rng(9)
+    cases = ((BURGERS, rng.uniform(-0.8, 0.8, 40), 0.6),
+             (ELASTO, rng.uniform(0.2, 0.8, (40, 2)), np.array([0.5, -0.1])))
+    for model, u0, u_B in cases:
+        sol = run_viscous(model, u0, u_B, h=0.02, eps=0.02, t_end=0.05, n_cells=40)
+        n_steps = int(round(0.05 / sol.tau))
+        assert n_steps >= 4
+        final, fl, fr = _explicit_central_reference(model, u0, u_B, h=0.02, eps=0.02,
+                                                    tau=sol.tau, n_steps=n_steps)
+        np.testing.assert_allclose(sol.final, final, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sol.flux_time_integral_left, fl, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sol.flux_time_integral_right, fr, rtol=0, atol=1e-13)
+        assert sol.lam is None and sol.q is None
+
+
+def test_viscous_needs_constant_diagonal_viscosity():
+    u0 = np.linspace(-0.5, 0.5, 40)
+    state_dependent = dataclasses.replace(
+        BURGERS, viscosity=lambda u: np.array([[1.0 + float(u) ** 2]]))
+    with pytest.raises(ValueError):
+        run_viscous(state_dependent, u0, 0.3, h=0.02, eps=0.02, t_end=0.05, n_cells=40)
+    coupled = dataclasses.replace(ELASTO, viscosity=lambda u: np.array([[1.0, 0.5], [0.5, 1.0]]))
+    with pytest.raises(ValueError):
+        run_viscous(coupled, np.array([0.5, 0.0]), np.array([0.5, 0.1]), h=0.02,
+                    eps=0.02, t_end=0.05, n_cells=40)
