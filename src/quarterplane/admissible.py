@@ -21,7 +21,7 @@ from scipy.optimize import minimize_scalar
 from quarterplane.layers import lf_membership_scalar_batch, viscous_member_scalar
 from quarterplane.riemann import conjugate_state, cubic_companions, godunov_trace_scalar
 from quarterplane.schemes import numerical_flux
-from quarterplane.systems import SystemModel, kruzkov_pair
+from quarterplane.systems import SystemModel, UnsupportedModelError, kruzkov_pair
 
 __all__ = [
     "ScalarSet",
@@ -85,8 +85,12 @@ class ScalarSet:
         return tuple(sorted(set(vals)))
 
     def as_json(self) -> dict:
+        """Strict-JSON form; an unbounded interval end is written as null."""
+        def end(v):
+            return float(v) if np.isfinite(v) else None
         return {
-            "intervals": [[lo, hi, bool(lc), bool(hc)] for lo, hi, lc, hc in self.intervals],
+            "intervals": [[end(lo), end(hi), bool(lc), bool(hc)]
+                          for lo, hi, lc, hc in self.intervals],
             "points": list(self.points),
         }
 
@@ -128,7 +132,7 @@ def bln_check(model: SystemModel, u_0, u_B: float):
     f(u_0) >= max f on [u_0, u_B], for u_0 > u_B to f(u_0) <= min f on
     [u_B, u_0], which is kruzkov_worst <= 0."""
     if model.dimension != 1:
-        raise ValueError("scalar models only")
+        raise UnsupportedModelError("scalar models only")
     ok = np.asarray(kruzkov_worst(model, u_0, u_B)) <= 2.0 * TOL_SET
     return bool(ok) if ok.ndim == 0 else ok
 
@@ -164,7 +168,7 @@ def scheme_entropy_check(model: SystemModel, scheme, u_0: float, u_B: float,
     With v_1 supplied, checks that witness; otherwise scans a grid of
     candidates and polishes the best margin with a bounded 1-d optimizer."""
     if model.dimension != 1:
-        raise ValueError("scalar models only")
+        raise UnsupportedModelError("scalar models only")
     lo = min(box[0], u_0, u_B) - 0.5
     hi = max(box[1], u_0, u_B) + 0.5
     pair = kruzkov_pair(model, np.linspace(lo, hi, n_grid))
@@ -203,7 +207,7 @@ def riemann_set_scalar(model: SystemModel, u_B: float) -> ScalarSet:
             return ScalarSet(((-np.inf, u_conj, False, True),), (u_B,))
         return ScalarSet(((-np.inf, u_star, False, True),))
     if model.name != "cubic":
-        raise ValueError("closed-form sets exist for convex fluxes and the cubic model")
+        raise UnsupportedModelError("closed-form sets exist for convex fluxes and the cubic model")
     if u_B < -2.0:
         return ScalarSet((), (u_B,))
     if u_B == -2.0:
@@ -234,7 +238,7 @@ def exclusion_set(model: SystemModel, u_B: float) -> tuple:
         # Riemann set, so nothing is actually removed
         return (conj,) if riemann_set_scalar(model, u_B).member(conj) else ()
     if model.name != "cubic":
-        raise ValueError("closed-form sets exist for convex fluxes and the cubic model")
+        raise UnsupportedModelError("closed-form sets exist for convex fluxes and the cubic model")
     if u_B == -2.0:
         return (1.0,)
     if u_B == 2.0:
@@ -325,7 +329,7 @@ def inclusion_audit(model: SystemModel, u_B, regularization, n_samples: int = 10
                            n_members, tuple(violations))
 
     if model.name != "elastodynamics" or regularization != "viscous":
-        raise ValueError("system audits are supported for the viscous p-system")
+        raise UnsupportedModelError("system audits are supported for the viscous p-system")
     from quarterplane.layers import elasto_layer_curve
 
     u_B = np.asarray(u_B, dtype=float)

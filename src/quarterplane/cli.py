@@ -1,10 +1,11 @@
 """Batch front-end: JSON run configurations in, CSV/JSON artifacts out.
 
 Subcommands: simulate, layer, admissible, riemann, verify, study,
-list-examples.  Exit codes: 0 success, 2 configuration/schema error,
-3 numerical failure or failed verification.  Artifacts are written
-atomically (temp file + rename) and are byte-identical for identical
-config + seed.
+list-examples.  Exit codes: 0 success, 2 configuration/schema error
+(including a model that lacks what the task needs), 3 numerical failure
+(including a non-finite result) or failed verification.  Artifacts are
+strict JSON or CSV, written atomically (temp file + rename), and are
+byte-identical for identical config + seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from quarterplane import admissible as adm
 from quarterplane import diagnostics, layers, riemann, schemes
 from quarterplane.riemann import SolverFailure
 from quarterplane.schemes import CFLError
-from quarterplane.systems import classify_euler_region, make_model
+from quarterplane.systems import UnsupportedModelError, classify_euler_region, make_model
 
 TASKS = ("simulate", "layer", "admissible", "riemann", "study")
 
@@ -133,7 +134,11 @@ def _jsonify(obj):
 
 
 def write_json(path: str, payload: dict) -> None:
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a non-finite value raises ValueError (exit 3), not NaN."""
+    try:
+        text = json.dumps(_jsonify(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{os.path.basename(path)}: result is not finite") from exc
     _atomic_write(path, text)
 
 
@@ -519,7 +524,7 @@ def main(argv=None) -> int:
                     f"config task {cfg['task']!r} does not match subcommand {args.command!r}")
             HANDLERS[args.command](cfg, args.out, seed, args.jobs)
         return 0
-    except SchemaError as exc:
+    except (SchemaError, UnsupportedModelError) as exc:
         _error_report(args.out, "schema", exc)
         return 2
     except (CFLError, SolverFailure, VerificationError, RuntimeError,

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from quarterplane.riemann import scalar_riemann_trace
-from quarterplane.systems import SystemModel, eigen_structure
+from quarterplane.systems import SystemModel, UnsupportedModelError, eigen_structure
 
 __all__ = [
     "LayerProfile",
@@ -151,7 +151,7 @@ def viscous_member_scalar(model: SystemModel, u_B: float, v_inf: float) -> bool:
     v_inf < u_B, and f > f(v_inf) on [u_B, v_inf) when v_inf > u_B.
     """
     if model.dimension != 1:
-        raise ValueError("scalar models only")
+        raise UnsupportedModelError("scalar models only")
     u_B, v_inf = float(u_B), float(v_inf)
     if u_B == v_inf:
         return True
@@ -222,7 +222,7 @@ def discrete_layer_membership(model: SystemModel, scheme, u_B, v_inf,
 
     if scheme[0] == "godunov":
         if model.dimension != 1:
-            raise ValueError("the Godunov membership test is scalar-only here")
+            raise UnsupportedModelError("the Godunov membership test is scalar-only here")
         fan = scalar_riemann_trace(model, float(u0[0]), float(vi[0]))
         dist = abs(fan.trace_at_zero_plus - float(vi[0]))
         verdict = "converged" if dist <= tol else "diverged"
@@ -438,7 +438,7 @@ def elasto_layer_curve(model: SystemModel, base, v_inf_range) -> CurveSet:
     the minus branch for v_inf < v_B and the plus branch for v_inf > v_B.
     """
     if model.name != "elastodynamics":
-        raise ValueError("elasto_layer_curve requires the elastodynamics model")
+        raise UnsupportedModelError("elasto_layer_curve requires the elastodynamics model")
     v_B, u_B = float(base[0]), float(base[1])
     sig = model.params["sigma"]
     sp = model.params["sigma_prime"]

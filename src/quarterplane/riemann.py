@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from quarterplane.systems import SystemModel
+from quarterplane.systems import SystemModel, UnsupportedModelError
 
 __all__ = [
     "Wave",
@@ -194,7 +194,7 @@ def _walk_trace(model, ul, waves):
 def scalar_riemann_trace(model: SystemModel, u_left: float, u_right: float) -> RiemannFan:
     """Self-similar solution of a scalar Riemann problem, traced at x/t = 0+."""
     if model.dimension != 1:
-        raise ValueError("scalar_riemann_trace requires a scalar model")
+        raise UnsupportedModelError("scalar_riemann_trace requires a scalar model")
     ul, ur = float(u_left), float(u_right)
     waves = tuple(_scalar_waves(model, ul, ur))
     trace = _walk_trace(model, ul, waves)
@@ -240,7 +240,7 @@ def godunov_flux(model: SystemModel, u_left, u_right):
 def conjugate_state(model: SystemModel, u_B: float) -> float:
     """The other root of f(u) = f(u_B) for a strictly convex scalar flux."""
     if model.dimension != 1 or not model.flux_convex:
-        raise ValueError("conjugate_state requires a strictly convex scalar flux")
+        raise UnsupportedModelError("conjugate_state requires a strictly convex scalar flux")
     f, df = model.flux, model.dflux
     u_B = float(u_B)
     if model.critical_points:
@@ -274,7 +274,7 @@ def cubic_companions(model: SystemModel, u_B: float):
     u^2 + u_B u + (u_B^2 - 3).
     """
     if model.name != "cubic":
-        raise ValueError("cubic_companions requires the cubic model")
+        raise UnsupportedModelError("cubic_companions requires the cubic model")
     u_B = float(u_B)
     disc = 12.0 - 3.0 * u_B * u_B
     if disc < 0.0:
@@ -332,7 +332,7 @@ def psystem_riemann_trace(model: SystemModel, left, right,
                           max_iter: int = 100, tol: float = 1e-12) -> RiemannFan:
     """Two-wave Riemann solution of the p-system, traced at x/t = 0+."""
     if model.name != "elastodynamics":
-        raise ValueError("psystem_riemann_trace requires the elastodynamics model")
+        raise UnsupportedModelError("psystem_riemann_trace requires the elastodynamics model")
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
     sig, sp = model.params["sigma"], model.params["sigma_prime"]

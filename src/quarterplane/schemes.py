@@ -11,11 +11,15 @@ left boundary is closed in one of two ways:
 - the viscous scheme updates every cell and puts the reflecting Dirichlet
   ghost 2 u_B - u_0 left of cell 0.
 
-The viscous scheme discretizes u_t + f(u)_x = eps (B u_x)_x by central
-differences, which is the LF-type flux
-    g(v, w) = (f(v) + f(w)) / 2 - C (w - v)
-with its coefficient C = Q/lam replaced by eps B/h.  B must therefore be
-constant and diagonal, as it is for every built-in model.
+The viscous scheme solves u_t + f(u)_x = eps (B u_x)_x by an IMEX step, the
+backward/forward Euler member of the Ascher-Ruuth-Spiteri family (Appl.
+Numer. Math. 25, 1997): the update above with the central flux
+g(v, w) = (f(v) + f(w)) / 2, then backward Euler for the diffusion,
+    u_j^{n+1} - mu (u_{j+1}^{n+1} - 2 u_j^{n+1} + u_{j-1}^{n+1}) = u_j^*,
+    mu = eps b tau / h^2,
+with the same two ghosts taken at the new time level.  B must be constant
+and diagonal, as it is for every built-in model, so each component solves
+one fixed symmetric positive-definite tridiagonal system.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from quarterplane.riemann import godunov_trace_scalar
-from quarterplane.systems import SystemModel
+from quarterplane.systems import SystemModel, UnsupportedModelError
 
 __all__ = [
     "GridSolution",
@@ -58,7 +63,9 @@ class GridSolution:
     snapshots: np.ndarray  # (n_snap, M) or (n_snap, M, N)
     mass_initial: np.ndarray
     mass_final: np.ndarray
-    flux_time_integral_left: np.ndarray  # time integral of g at the first interface
+    # time integrals of the flux through the first and last interfaces: g,
+    # plus the implicit diffusive flux at the first one for the viscous scheme
+    flux_time_integral_left: np.ndarray
     flux_time_integral_right: np.ndarray
     history: Optional[np.ndarray] = None  # every step when store_all
     eps: Optional[float] = None  # viscous runs only
@@ -118,19 +125,22 @@ def _start(model, u0, u_B, h, n_cells, pinned):
 
 
 def _march(model, scheme, flux, xs, ub, cells, *, h, tau, ratio, n_steps, pinned,
-           n_snapshots, store_all, **fields):
+           n_snapshots, store_all, implicit=None, **fields):
     """The time loop shared by all schemes: u -= ratio (g_{j+1/2} - g_{j-1/2})
     with g = flux(ext[:-1], ext[1:]), where ext is the cells plus a copy
     ghost on the right and, unless cell 0 is pinned, the reflecting ghost
-    2 u_B - u_0 on the left."""
+    2 u_B - u_0 on the left.  ``implicit(cells, u_B)``, if given, then
+    completes the step in place with u_B at the new time and returns the
+    flux it adds at the first face."""
     first = 1 if pinned else 0  # cells[first:] are updated and carry the mass
     ext = np.empty((cells.shape[0] + 2 - first,) + cells.shape[1:])
     ext[1 - first:-1] = cells
     cells = ext[1 - first:-1]  # a view: updating the cells updates ext
-    snap_idx = _snapshot_steps(n_steps, n_snapshots)
+    snap_idx = set(_snapshot_steps(n_steps, n_snapshots).tolist())
+    ub_new = np.asarray(ub(0.0), dtype=float)
     snaps = [cells.copy()] if 0 in snap_idx else []
     snap_times = [0.0] if 0 in snap_idx else []
-    ub_samples = [np.asarray(ub(0.0), dtype=float)] if 0 in snap_idx else []
+    ub_samples = [ub_new] if 0 in snap_idx else []
     history = [cells.copy()] if store_all else None
 
     mass0 = np.atleast_1d(np.sum(cells[first:], axis=0))
@@ -138,21 +148,25 @@ def _march(model, scheme, flux, xs, ub, cells, *, h, tau, ratio, n_steps, pinned
     g_right_int = np.zeros_like(g_left_int)
 
     for n in range(1, n_steps + 1):
+        ub_old, ub_new = ub_new, np.asarray(ub(n * tau), dtype=float)
         if not pinned:
-            ext[0] = 2.0 * np.asarray(ub((n - 1) * tau)) - cells[0]
+            ext[0] = 2.0 * ub_old - cells[0]
         ext[-1] = cells[-1]
         g = flux(ext[:-1], ext[1:])  # g[0] at the first updated cell's left face
         cells[first:] -= ratio * (g[1:] - g[:-1])
+        g_left = g[0]
+        if implicit is not None:
+            g_left = g_left + implicit(cells, ub_new)
         if pinned:
-            cells[0] = ub(n * tau)
-        g_left_int += tau * np.atleast_1d(g[0])
+            cells[0] = ub_new
+        g_left_int += tau * np.atleast_1d(g_left)
         g_right_int += tau * np.atleast_1d(g[-1])
         if store_all:
             history.append(cells.copy())
         if n in snap_idx:
             snaps.append(cells.copy())
             snap_times.append(n * tau)
-            ub_samples.append(np.asarray(ub(n * tau), dtype=float))
+            ub_samples.append(ub_new)
 
     return GridSolution(
         scheme=scheme, model_name=model.name, xs=xs, h=h, tau=tau,
@@ -270,7 +284,7 @@ def run_split(model: SystemModel, u0, u_B, *, h, lam, q=None, t_end,
 def run_godunov(model: SystemModel, u0, u_B, *, h, lam, t_end,
                 n_cells=None, n_snapshots=33, store_all=False) -> GridSolution:
     if model.dimension != 1:
-        raise ValueError("run_godunov supports scalar models")
+        raise UnsupportedModelError("run_godunov supports scalar models")
     n_cells = n_cells or 200
     return _run_conservative(model, "godunov", numerical_flux(model, ("godunov",)), u0, u_B,
                              h=h, lam=lam, q=None, t_end=t_end, n_cells=n_cells,
@@ -283,24 +297,80 @@ def _constant_diagonal_viscosity(model, states):
     mats = [np.atleast_2d(np.asarray(model.viscosity(s), dtype=float)) for s in states]
     b = mats[0]
     if any(not np.array_equal(m, b) for m in mats[1:]) or np.any(b != np.diag(np.diag(b))):
-        raise ValueError("run_viscous needs a constant diagonal viscosity matrix B")
+        raise UnsupportedModelError("run_viscous needs a constant diagonal viscosity matrix B")
     return np.diag(b)
+
+
+def _implicit_diffusion(b, eps, tau, h, n_cells):
+    """Backward Euler for u_t = eps (B u_x)_x, B = diag(b), on ``n_cells``
+    cells with the reflecting ghost 2 u_B - u_0 and a copy ghost.  Component
+    k solves
+        (1 + 3 mu) x_0 - mu x_1                      = u*_0 + 2 mu u_B,
+        -mu x_{j-1} + (1 + 2 mu) x_j - mu x_{j+1}    = u*_j,
+        -mu x_{M-2} + (1 + mu) x_{M-1}               = u*_{M-1},
+    mu = eps b_k tau / h^2: a symmetric positive-definite matrix, factored
+    once; components with equal b_k share one solve.
+
+    The returned step overwrites u* with u* + mu (D_{j+1/2} - D_{j-1/2}),
+    D the face differences of x (D = 2 (x_0 - u_B) at the first face, 0 at
+    the last).  That equals x up to the solver's residual but conserves
+    mass to rounding, which x alone does not when mu is large.  It returns
+    the diffusive flux -2 eps b (x_0 - u_B) / h through the first face."""
+    mu = eps * b * tau / (h * h)
+    solves = []
+    for mu_k in np.unique(mu):
+        diag = np.full(n_cells, 1.0 + 2.0 * mu_k)
+        diag[0] += mu_k
+        diag[-1] -= mu_k
+        # pttrf wants a non-empty off-diagonal even for a single cell
+        d, e, info = lapack.dpttrf(diag, np.full(max(n_cells - 1, 1), -mu_k))
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"implicit diffusion matrix is not positive definite (mu = {mu_k:.3g})")
+        solves.append((np.flatnonzero(mu == mu_k), d, e))
+
+    def step(cells, u_B):
+        u = cells.reshape(n_cells, -1)  # a view, also for scalar cells
+        u_B = u_B.reshape(-1)
+        x = np.empty_like(u)
+        for cols, d, e in solves:
+            rhs = u[:, cols]
+            rhs[0] += 2.0 * mu[cols] * u_B[cols]
+            x[:, cols], _ = lapack.dpttrs(d, e, rhs)
+        diff = np.zeros((n_cells + 1, u.shape[1]))
+        diff[0] = 2.0 * (x[0] - u_B)
+        diff[1:-1] = x[1:] - x[:-1]
+        u += mu * (diff[1:] - diff[:-1])
+        return -(eps * b / h) * diff[0]
+    return step
 
 
 def run_viscous(model: SystemModel, u0, u_B, *, h, eps, t_end,
                 n_cells=None, cfl=0.9, n_snapshots=33, store_all=False) -> GridSolution:
-    """Explicit central scheme for u_t + f(u)_x = eps (B u_x)_x, B constant
-    and diagonal (raises ValueError otherwise)."""
+    """IMEX scheme for u_t + f(u)_x = eps (B u_x)_x, B constant and diagonal
+    (raises UnsupportedModelError otherwise): forward Euler on the central
+    advection flux, backward Euler on the diffusion (module docstring).
+
+    The time step tau = cfl min(h/alpha, 2 eps min(b)/alpha^2), alpha the
+    largest characteristic speed of the data, follows the advective bound
+    and does not shrink with h^2/eps.  It is von Neumann stable: with
+    nu = alpha tau/h and mu = eps b tau/h^2 the amplification factor obeys
+    |g|^2 = (1 + nu^2 sin^2 theta) / (1 + 2 mu (1 - cos theta))^2 <= 1
+    whenever nu <= 1 and nu^2 <= 2 mu."""
     xs, ub, cells, alpha = _start(model, u0, u_B, h, n_cells or 200, pinned=False)
     b = _constant_diagonal_viscosity(model, [cells[0], cells[-1], ub(0.0)])
-    tau = cfl * min(h / max(alpha, 1e-12), h * h / (2.0 * eps))
+    alpha = max(alpha, 1e-12)
+    tau = cfl * min(h / alpha, 2.0 * eps * float(np.min(b)) / (alpha * alpha))
     n_steps = max(int(np.ceil(t_end / tau - 1e-12)), 1)
     tau = t_end / n_steps
-    # the central step is the LF-type flux difference with Q/lam -> eps B/h
-    flux = numerical_flux(model, ("lf", h, eps * b))
-    return _march(model, "viscous", flux, xs, ub, cells, h=h, tau=tau, ratio=tau / h,
+
+    def central(v, w):
+        return 0.5 * (np.asarray(model.flux(v)) + np.asarray(model.flux(w)))
+
+    return _march(model, "viscous", central, xs, ub, cells, h=h, tau=tau, ratio=tau / h,
                   n_steps=n_steps, pinned=False, n_snapshots=n_snapshots,
-                  store_all=store_all, lam=None, q=None, eps=eps)
+                  store_all=store_all, lam=None, q=None, eps=eps,
+                  implicit=_implicit_diffusion(b, eps, tau, h, cells.shape[0]))
 
 
 def discrete_entropy_residual(model: SystemModel, sol: GridSolution,

@@ -18,6 +18,7 @@ __all__ = [
     "EigenStructure",
     "SystemModel",
     "HyperbolicityError",
+    "UnsupportedModelError",
     "make_model",
     "eigen_structure",
     "classify_euler_region",
@@ -28,6 +29,11 @@ __all__ = [
 
 class HyperbolicityError(ValueError):
     """Raised when the Jacobian is defective or has complex eigenvalues."""
+
+
+class UnsupportedModelError(ValueError):
+    """Raised when a model lacks a capability the computation needs (a scalar
+    state, a convex flux, a constant diagonal viscosity, ...)."""
 
 
 # --- Domain types ------------------------------------------------------------
@@ -483,7 +489,7 @@ def classify_euler_region(model: SystemModel, state) -> str:
     (density, velocity), not the conserved state.
     """
     if model.name != "euler_isentropic":
-        raise ValueError("region classification only applies to euler_isentropic")
+        raise UnsupportedModelError("region classification only applies to euler_isentropic")
     rho, u = float(state[0]), float(state[1])
     if rho <= 0.0:
         raise ValueError("density must be positive")

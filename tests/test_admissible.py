@@ -45,6 +45,11 @@ def test_scalar_set_membership():
     assert not s.member(0.5)
 
 
+def test_scalar_set_json_writes_unbounded_end_as_null():
+    s = ScalarSet(((-np.inf, -1.0, False, True),), (1.0,))
+    assert s.as_json() == {"intervals": [[None, -1.0, False, True]], "points": [1.0]}
+
+
 def test_scalar_set_invariants():
     with pytest.raises(ValueError):
         ScalarSet(((0.0, 2.0, True, True), (1.0, 3.0, True, True)))

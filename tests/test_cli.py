@@ -157,6 +157,46 @@ def test_malformed_state_data_exit_2(tmp_path):
             assert json.load(fh)["error"] == "schema"
 
 
+@pytest.mark.parametrize("cfg", [
+    {**_elasto_lf_config([[0.0, [0.4, 0.0]]]), "scheme": {"type": "godunov", "lam": 0.2}},
+    {"task": "riemann", "model": {"name": "euler_isentropic"},
+     "params": {"left": [1.0, 0.0], "right": [0.5, 0.0]}},
+    {"task": "admissible", "model": {"name": "elastodynamics"}, "params": {"u_B": 0.5}},
+], ids=["godunov-2x2", "riemann-euler", "admissible-elasto"])
+def test_unsupported_model_exit_2(cfg, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([cfg["task"], "--config", str(path), "--out", str(out)]) == 2
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["error"] == "schema"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_non_finite_result_exit_3_strict_json(tmp_path):
+    cfg = {
+        "task": "simulate",
+        "model": {"name": "burgers"},
+        "scheme": {"type": "lf", "lam": 0.2, "q": 0.5},
+        "grid": {"x_max": 1.0, "cells": 50, "t_end": 0.2},
+        "data": {"u_I": -0.5, "u_B": float("nan")},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    written = [name for name in os.listdir(out) if name.endswith(".json")]
+    assert "error.json" in written
+    for name in written:
+        with open(out / name) as fh:
+            json.loads(fh.read(), parse_constant=_reject_constant)
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["error"] == "numerical"
+
+
 def test_failed_verification_exit_3(tmp_path):
     with open(cli.example_path("euler_regions.json")) as fh:
         cfg = json.load(fh)

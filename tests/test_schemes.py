@@ -174,40 +174,76 @@ def test_snapshot_times_cover_range():
     assert len(sol.times) == len(sol.snapshots)
 
 
-def _explicit_central_reference(model, u0, u_B, *, h, eps, tau, n_steps):
-    """Explicit central update for B = I, written out directly:
-    u - tau (f_{j+1} - f_{j-1}) / 2h + eps tau (u_{j+1} - 2 u_j + u_{j-1}) / h^2,
-    reflecting ghost 2 u_B - u_0 on the left, copy ghost on the right.
+def _imex_reference(model, u0, u_B, *, h, eps, tau, n_steps):
+    """IMEX update for B = I, written out directly: the central step
+    u* = u - tau (f_{j+1} - f_{j-1}) / 2h, then backward Euler
+    u^{n+1} - eps tau (u_{j+1} - 2 u_j + u_{j-1})^{n+1} / h^2 = u*, solved
+    densely.  Both use the reflecting ghost 2 u_B - u_0 on the left and a
+    copy ghost on the right, at the old and the new level respectively.
     Returns the final cells and the time integrals of the total flux
     f - eps u_x at the first and last faces."""
     cells = np.array(u0, dtype=float)
     u_B = np.asarray(u_B, dtype=float)
+    n = cells.shape[0]
+    mu = eps * tau / (h * h)
+    A = (1.0 + 2.0 * mu) * np.eye(n) - mu * (np.eye(n, k=1) + np.eye(n, k=-1))
+    A[0, 0] += mu
+    A[-1, -1] -= mu
     fl = np.zeros(np.shape(np.atleast_1d(cells[0])))
     fr = np.zeros_like(fl)
     for _ in range(n_steps):
         ext = np.concatenate([(2.0 * u_B - cells[0])[None], cells, cells[-1:]], axis=0)
         f = np.asarray(model.flux(ext))
-        fl += tau * np.atleast_1d(0.5 * (f[0] + f[1]) - eps * (ext[1] - ext[0]) / h)
-        fr += tau * np.atleast_1d(0.5 * (f[-2] + f[-1]) - eps * (ext[-1] - ext[-2]) / h)
-        cells = (cells - tau * (f[2:] - f[:-2]) / (2.0 * h)
-                 + eps * tau * (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (h * h))
+        rhs = cells - tau * (f[2:] - f[:-2]) / (2.0 * h)
+        rhs[0] += 2.0 * mu * u_B
+        cells = np.linalg.solve(A, rhs)
+        fl += tau * np.atleast_1d(0.5 * (f[0] + f[1]) - 2.0 * eps * (cells[0] - u_B) / h)
+        fr += tau * np.atleast_1d(0.5 * (f[-2] + f[-1]))
     return cells, fl, fr
 
 
-def test_viscous_flux_difference_matches_central_update():
+def test_viscous_step_matches_imex_update():
     rng = np.random.default_rng(9)
     cases = ((BURGERS, rng.uniform(-0.8, 0.8, 40), 0.6),
              (ELASTO, rng.uniform(0.2, 0.8, (40, 2)), np.array([0.5, -0.1])))
     for model, u0, u_B in cases:
-        sol = run_viscous(model, u0, u_B, h=0.02, eps=0.02, t_end=0.05, n_cells=40)
-        n_steps = int(round(0.05 / sol.tau))
+        sol = run_viscous(model, u0, u_B, h=0.02, eps=0.02, t_end=0.2, n_cells=40)
+        n_steps = int(round(0.2 / sol.tau))
         assert n_steps >= 4
-        final, fl, fr = _explicit_central_reference(model, u0, u_B, h=0.02, eps=0.02,
-                                                    tau=sol.tau, n_steps=n_steps)
+        final, fl, fr = _imex_reference(model, u0, u_B, h=0.02, eps=0.02,
+                                        tau=sol.tau, n_steps=n_steps)
         np.testing.assert_allclose(sol.final, final, rtol=0, atol=1e-13)
         np.testing.assert_allclose(sol.flux_time_integral_left, fl, rtol=0, atol=1e-13)
         np.testing.assert_allclose(sol.flux_time_integral_right, fr, rtol=0, atol=1e-13)
         assert sol.lam is None and sol.q is None
+
+
+def test_viscous_time_step_follows_advective_bound():
+    # the parabolic bound h^2 / (2 eps) needed 91k steps here at eps = 0.04
+    taus = []
+    for eps in (0.04, 0.02):
+        sol = run_viscous(BURGERS, -2.0, 1.0, h=0.4 / 640, eps=eps, t_end=0.4, n_cells=640)
+        assert int(round(0.4 / sol.tau)) <= 1500
+        taus.append(sol.tau)
+    assert taus[0] == taus[1]
+
+
+def test_viscous_conservation_unequal_diagonal():
+    # B = diag(5, 1): each component gets its own implicit solve
+    model = make_model("linear2", B=[5.0, 1.0])
+    rng = np.random.default_rng(10)
+    u0 = rng.uniform(-1.0, 1.0, (60, 2))
+    sol = run_viscous(model, u0, np.array([0.5, -0.3]), h=0.02, eps=0.05, t_end=0.3,
+                      n_cells=60)
+    change = sol.mass_final - sol.mass_initial
+    np.testing.assert_allclose(
+        change, sol.flux_time_integral_left - sol.flux_time_integral_right, atol=1e-12)
+
+
+def test_viscous_constant_state_system():
+    state = np.array([0.5, 0.1])
+    sol = run_viscous(ELASTO, state, state, h=0.02, eps=0.02, t_end=0.3, n_cells=50)
+    np.testing.assert_allclose(sol.final, np.broadcast_to(state, (50, 2)), rtol=0, atol=1e-13)
 
 
 def test_viscous_needs_constant_diagonal_viscosity():
