@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from quarterplane.layers import lf_membership_scalar_batch, viscous_member_scalar
+from quarterplane.layers import viscous_member_scalar
 from quarterplane.riemann import conjugate_state, cubic_companions, godunov_trace_scalar
 from quarterplane.schemes import numerical_flux
 from quarterplane.systems import SystemModel, UnsupportedModelError, kruzkov_pair
@@ -269,21 +269,45 @@ def _remove_points(s: ScalarSet, removed) -> ScalarSet:
     return ScalarSet(tuple(intervals), tuple(points), s.tol)
 
 
+def _lf_params(regularization):
+    """(lam, q) of an ("lf", lam, q) regularization; None for "viscous"."""
+    if regularization == "viscous":
+        return None
+    if isinstance(regularization, tuple) and len(regularization) == 3 \
+            and regularization[0] == "lf":
+        return regularization[1:]
+    raise ValueError("regularization must be 'viscous' or ('lf', lam, q)")
+
+
+def _require_lf_cfl(model: SystemModel, lam: float, q: float, lo, hi) -> None:
+    """Raise ValueError unless lam/q sup|f'| <= 1 on every [lo, hi]
+    (elementwise).  |f'| peaks on an interval at an end or at an inflection
+    point of f inside it."""
+    if model.dimension != 1:
+        raise UnsupportedModelError("scalar models only")
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    where = [lo, hi] + [np.clip(c, lo, hi) for c in model.inflection_points]
+    ratio = lam / q * np.max([np.abs(np.asarray(model.dflux(x))) for x in where], axis=0)
+    bad = ~(ratio <= 1.0 + 1e-12)
+    if np.any(bad):
+        k = int(np.argmax(np.nan_to_num(ratio, nan=np.inf)))  # the worst interval
+        raise ValueError(f"CFL hypothesis lam/q sup|f'| <= 1 violated: "
+                         f"{ratio.flat[k]:.6g} on [{lo.flat[k]:g}, {hi.flat[k]:g}]")
+
+
 def layer_set_scalar(model: SystemModel, u_B: float, regularization) -> ScalarSet:
     """Closed-form layer-admissible set: the Riemann set minus the excluded
-    point(s).  For the LF regularization the subtraction is valid under the
-    CFL hypothesis sup_{[-8M, 8M]} |f'| * lam / q <= 1."""
-    if isinstance(regularization, tuple) and regularization[0] == "lf":
-        _, lam, q = regularization
-        m_window = 8.0 * max(abs(u_B), 3.0)
-        grid = np.linspace(-m_window, m_window, 4001)
-        sup_fp = float(np.max(np.abs(np.asarray(model.dflux(grid)))))
-        if sup_fp * lam / q > 1.0 + 1e-12:
-            raise ValueError("CFL hypothesis sup|f'| lam/q <= 1 violated")
-    elif regularization != "viscous":
-        raise ValueError("regularization must be 'viscous' or ('lf', lam, q)")
+    point(s).  For ("lf", lam, q) the LF and viscous sets coincide under the
+    CFL hypothesis lam/q sup|f'| <= 1 (``layer_member_oracle``); it is
+    checked on the hull of u_B, the set's finite boundary values and the
+    exclusions, and a violation raises ValueError."""
+    lf = _lf_params(regularization)
     base = riemann_set_scalar(model, u_B)
-    return _remove_points(base, exclusion_set(model, u_B))
+    removed = exclusion_set(model, u_B)
+    if lf is not None:
+        marks = (float(u_B),) + base.boundary_values() + tuple(removed)
+        _require_lf_cfl(model, *lf, min(marks), max(marks))
+    return _remove_points(base, removed)
 
 
 def godunov_set(model: SystemModel, u_B: float, w_grid) -> np.ndarray:
@@ -300,15 +324,22 @@ def godunov_set(model: SystemModel, u_B: float, w_grid) -> np.ndarray:
 # --- Membership oracles and the inclusion audit ------------------------------
 
 
-def layer_member_oracle(model: SystemModel, u_B: float, candidates, regularization,
-                        y_max: int = 20000) -> np.ndarray:
-    """Numerical layer membership for a batch of scalar candidates."""
+def layer_member_oracle(model: SystemModel, u_B: float, candidates, regularization) -> np.ndarray:
+    """Layer membership of a batch of scalar candidates v_inf, exact on the
+    phase line (``layers.viscous_member_scalar``).
+
+    "viscous": the trajectory of v' = f(v) - f(v_inf) from u_B reaches v_inf.
+    ("lf", lam, q): the same verdict, by the monotone-map argument of the
+    ``layers`` docstring.  It needs mu |f'| < 1, mu = lam/(2q), on each
+    candidate's hull [min(u_B, v_inf), max(u_B, v_inf)].  The paper's CFL
+    hypothesis lam/q sup|f'| <= 1 on that hull implies it; it is checked
+    for every candidate, and a violation raises ValueError."""
+    u_B = float(u_B)
     v = np.asarray(candidates, dtype=float)
-    if regularization == "viscous":
-        return np.array([viscous_member_scalar(model, u_B, float(x)) for x in v])
-    _, lam, q = regularization
-    return lf_membership_scalar_batch(model, lam, q, float(u_B), v, y_max=y_max,
-                                      member_tol=5e-4 * (1.0 + np.abs(v)))
+    lf = _lf_params(regularization)
+    if lf is not None:
+        _require_lf_cfl(model, *lf, np.minimum(u_B, v), np.maximum(u_B, v))
+    return viscous_member_scalar(model, u_B, v)
 
 
 def inclusion_audit(model: SystemModel, u_B, regularization, n_samples: int = 1000,
@@ -320,8 +351,7 @@ def inclusion_audit(model: SystemModel, u_B, regularization, n_samples: int = 10
 
     if model.dimension == 1:
         samples = rng.uniform(box[0], box[1], n_samples)
-        members = layer_member_oracle(model, float(u_B), samples, regularization) \
-            if n_samples else np.zeros(0, dtype=bool)
+        members = layer_member_oracle(model, float(u_B), samples, regularization)
         n_members = int(members.sum())
         worst = kruzkov_worst(model, samples[members], float(u_B))
         violations = samples[members][worst > TOL_SAMPLED].tolist()

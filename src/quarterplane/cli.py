@@ -186,7 +186,10 @@ def _run_scheme(model, cfg, override=None):
                   n_snapshots=int(grid.get("snapshots", 33)))
     stype = scheme["type"]
     if stype == "viscous":
-        return schemes.run_viscous(model, u0, u_B, eps=float(scheme["eps"]), **common)
+        eps = scheme.get("eps")
+        if not (isinstance(eps, (int, float)) and np.isfinite(eps) and eps > 0):
+            raise SchemaError(f"scheme: eps must be a finite positive number, got {eps!r}")
+        return schemes.run_viscous(model, u0, u_B, eps=float(eps), **common)
     if stype == "lf":
         return schemes.run_lf(model, u0, u_B, lam=float(scheme["lam"]),
                               q=float(scheme["q"]), **common)

@@ -1,10 +1,23 @@
 """Boundary-layer profiles and stable-manifold reports.
 
 Continuous profiles solve B(v) v' = f(v) - f(v_inf) with v(0) = u_B; discrete
-profiles iterate the implicit step of the Lax-Friedrichs-type scheme.  The
-membership oracle is forward integration/iteration from u_B: trajectories off
-the stable set diverge (or stall at a spurious equilibrium), which the
+profiles iterate the implicit step of the Lax-Friedrichs-type scheme.  For
+systems, membership is forward integration/iteration from u_B: trajectories
+off the stable set diverge (or stall at a spurious equilibrium), which the
 horizon test detects.
+
+For scalar fluxes membership is decided exactly on the phase line
+(``viscous_member_scalar``), for both regularizations.  The LF layer step
+v -> T(v) = w solves w - mu f(w) = v + mu f(v) - 2 mu f(v_inf), mu = lam/(2q).
+If mu |f'| < 1 on the hull [min(u_B, v_inf), max(u_B, v_inf)], then
+w -> w - mu f(w) and v -> v + mu f(v) are increasing there, so T is
+increasing, and T(v) - v has the sign of f(v) - f(v_inf).  The orbit from u_B
+is then monotone, its fixed points are the roots of f - f(v_inf), and it
+reaches v_inf exactly when the viscous trajectory does: under that
+hypothesis the LF and viscous layer sets coincide.  The paper's CFL
+hypothesis lam/q sup|f'| <= 1 implies it (``admissible`` checks it).
+``lf_membership_scalar_batch`` iterates the recursion itself and is kept as
+an independent cross-check of that argument.
 """
 
 from __future__ import annotations
@@ -143,26 +156,34 @@ def viscous_layer_profile(model: SystemModel, u_B, v_inf, y_max: float = 200.0) 
     return LayerProfile("continuous", ys, states, u0, vi, verdict, d_end)
 
 
-def viscous_member_scalar(model: SystemModel, u_B: float, v_inf: float) -> bool:
-    """Exact phase-line membership test for the scalar layer ODE v' = f(v) - f(v_inf).
+def viscous_member_scalar(model: SystemModel, u_B: float, v_inf):
+    """Exact phase-line membership test for the scalar layer ODE
+    v' = f(v) - f(v_inf), elementwise over v_inf (a scalar gives a bool).
 
     The trajectory from u_B reaches v_inf iff the velocity field keeps a
     strict sign between the two states: f < f(v_inf) on (v_inf, u_B] when
-    v_inf < u_B, and f > f(v_inf) on [u_B, v_inf) when v_inf > u_B.
+    v_inf < u_B, and f > f(v_inf) on [u_B, v_inf) when v_inf > u_B.  On that
+    interval f peaks at u_B or at an interior critical point.
     """
     if model.dimension != 1:
         raise UnsupportedModelError("scalar models only")
-    u_B, v_inf = float(u_B), float(v_inf)
-    if u_B == v_inf:
-        return True
-    f = model.flux
-    fv = float(f(v_inf))
-    lo, hi = min(u_B, v_inf), max(u_B, v_inf)
-    cands = [c for c in model.critical_points if lo < c < hi] + [u_B]
-    vals = np.asarray(f(np.asarray(cands)))
-    if v_inf < u_B:
-        return bool(np.all(vals < fv))
-    return bool(np.all(vals > fv))
+    u_B = float(u_B)
+    v = np.asarray(v_inf, dtype=float)
+    crit = np.asarray(model.critical_points, dtype=float)
+    f_all = np.asarray(model.flux(np.concatenate([[u_B], crit, v.ravel()])))
+    f_B, f_crit = f_all[0], f_all[1:1 + crit.size]
+    f_inf = f_all[1 + crit.size:].reshape(v.shape)
+    below = v < u_B  # f must stay below f(v_inf) there, above it otherwise
+
+    def keeps_sign(fx):
+        return np.where(below, fx < f_inf, fx > f_inf)
+
+    member = keeps_sign(f_B)
+    lo, hi = np.minimum(u_B, v), np.maximum(u_B, v)
+    for c, f_c in zip(crit, f_crit):
+        member &= ~((lo < c) & (c < hi)) | keeps_sign(f_c)
+    member |= v == u_B
+    return bool(member) if member.ndim == 0 else member
 
 
 # --- Discrete (scheme) layers ------------------------------------------------
@@ -273,35 +294,38 @@ def discrete_layer_membership(model: SystemModel, scheme, u_B, v_inf,
 def lf_membership_scalar_batch(model: SystemModel, lam: float, q: float,
                                u_B: float, v_infs, y_max: int = 500,
                                member_tol=None):
-    """Vectorized scalar LF membership over many candidate limits.
+    """Scalar LF membership by iterating the layer recursion itself.
 
-    Runs the implicit recursion for all candidates simultaneously with an
+    Runs the implicit recursion for all candidates at once with an
     elementwise damped Newton solve; returns a boolean membership array.
-    ``member_tol`` is the accept distance (default 1e-9-ish); set it looser
-    together with a large ``y_max`` when the contraction factors are close
-    to one (small mu = lam/2q).
+    Each sweep steps only the candidates still undecided.  ``member_tol`` is
+    the accept distance (default 1e-9-ish); set it looser together with a
+    large ``y_max`` when the contraction factors are close to one (small
+    mu = lam/2q).  The production oracle is the exact phase-line test (module
+    docstring); this iteration is its independent cross-check.
     """
     mu = lam / (2.0 * q)
     f = model.flux
-    vi = np.asarray(v_infs, dtype=float)
-    v = np.full_like(vi, float(u_B))
+    vi_all = np.asarray(v_infs, dtype=float)
+    member = np.zeros(vi_all.shape, dtype=bool)
+    flat = member.reshape(-1)  # a view: setting flat sets member
+    vi = vi_all.ravel()
     tol = 1e-6 * (1.0 + np.abs(vi))
-    if member_tol is None:
-        member_tol = 1e-3 * tol
-    member_tol = np.broadcast_to(np.asarray(member_tol, dtype=float), vi.shape)
+    mtol = 1e-3 * tol if member_tol is None else \
+        np.broadcast_to(np.asarray(member_tol, dtype=float), vi_all.shape).ravel()
     blow = 10.0 * (1.0 + np.abs(u_B - vi) + np.abs(vi))
-    active = np.ones(vi.shape, dtype=bool)
-    member = np.zeros(vi.shape, dtype=bool)
     f_inf = np.asarray(f(vi))
+    v = np.full_like(vi, float(u_B))
+    idx = np.arange(vi.size)  # the undecided candidates; the arrays above follow it
     for _ in range(y_max):
-        if not active.any():
+        if not idx.size:
             break
         c = v + mu * (np.asarray(f(v)) - 2.0 * f_inf)
         w = v.copy()
         r = w - mu * np.asarray(f(w)) - c
         for _ in range(25):
             bad = np.abs(r) > 1e-12 * (1.0 + np.abs(w))
-            if not np.any(bad & active):
+            if not np.any(bad):
                 break
             dfw = np.asarray(model.dflux(w))
             denom = 1.0 - mu * dfw
@@ -312,7 +336,7 @@ def lf_membership_scalar_batch(model: SystemModel, lam: float, q: float,
             # elementwise damping
             for _ in range(30):
                 worse = np.abs(r_try) >= np.abs(r)
-                if not np.any(worse & bad & active):
+                if not np.any(worse & bad):
                     break
                 step = np.where(worse, 0.5 * step, step)
                 w_try = w + step
@@ -320,17 +344,18 @@ def lf_membership_scalar_batch(model: SystemModel, lam: float, q: float,
             w, r = w_try, r_try
         # elements whose implicit step has no reachable root have left the
         # existence domain of the recursion: not members
-        failed = active & (np.abs(r) > 1e-10 * (1.0 + np.abs(w)))
-        prev = v
-        v = np.where(active, w, v)
+        failed = np.abs(r) > 1e-10 * (1.0 + np.abs(w))
+        prev, v = v, w
         d = np.abs(v - vi)
-        newly_member = active & (d <= member_tol) & ~failed
-        member |= newly_member
-        diverged = failed | (active & ((d > blow) | ~np.isfinite(v)))
-        stalled = active & (np.abs(v - prev) < 1e-13 * (1.0 + np.abs(v))) & (d > np.maximum(tol, member_tol))
-        active &= ~(newly_member | diverged | stalled)
-    # whatever is still active at the horizon: accept if within tolerance
-    member |= active & (np.abs(v - vi) <= np.maximum(tol, member_tol))
+        newly_member = (d <= mtol) & ~failed
+        flat[idx[newly_member]] = True
+        diverged = failed | (d > blow) | ~np.isfinite(v)
+        stalled = (np.abs(v - prev) < 1e-13 * (1.0 + np.abs(v))) & (d > np.maximum(tol, mtol))
+        keep = ~(newly_member | diverged | stalled)
+        idx, v, vi, tol, mtol, blow, f_inf = (
+            a[keep] for a in (idx, v, vi, tol, mtol, blow, f_inf))
+    # whatever is still undecided at the horizon: accept if within tolerance
+    flat[idx[np.abs(v - vi) <= np.maximum(tol, mtol)]] = True
     return member
 
 

@@ -85,10 +85,13 @@ class SystemModel:
     viscosity: Callable  # state -> (N, N) matrix
     state_region: tuple  # per-component (lo, hi) open bounds
     params: dict = field(default_factory=dict)
-    # Scalar conveniences (None for systems): elementwise f' and the interior
-    # critical points of f (roots of f'), used by envelope/extremum code.
+    # Scalar conveniences (None for systems): elementwise f', the interior
+    # critical points of f (roots of f'), used by envelope/extremum code, and
+    # the inflection points of f (roots of f''), where |f'| can peak inside
+    # an interval.
     dflux: Optional[Callable] = None
     critical_points: tuple = ()
+    inflection_points: tuple = ()
     # Vectorized max characteristic speed, used for CFL control.
     max_char_speed: Optional[Callable] = None
     flux_convex: bool = False
@@ -280,6 +283,7 @@ def _make_cubic(params):
         viscosity=lambda u: np.eye(1),
         state_region=((-np.inf, np.inf),),
         params=dict(params), dflux=df, critical_points=(-1.0, 1.0),
+        inflection_points=(0.0,),
         max_char_speed=lambda u: np.abs(df(u)),
         flux_convex=False,
     )

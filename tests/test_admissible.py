@@ -14,6 +14,7 @@ from quarterplane.admissible import (
     riemann_set_scalar,
     scheme_entropy_check,
 )
+from quarterplane.layers import lf_membership_scalar_batch
 from quarterplane.systems import make_model
 
 BURGERS = make_model("burgers")
@@ -173,12 +174,17 @@ def test_layer_set_removes_conjugate():
 
 
 def test_layer_set_lf_cfl_guard():
-    # The CFL window is sup over [-8M, 8M]; a comfortable lab value passes
-    # for burgers but is rejected for the cubic flux.
+    # The CFL hypothesis lam/q sup|f'| <= 1 is checked on the hull of u_B,
+    # the set's finite boundary values and the exclusions.
     layer_set_scalar(BURGERS, 1.0, ("lf", 0.02, 0.5))
-    with pytest.raises(ValueError):
-        layer_set_scalar(CUBIC, 1.5, ("lf", 0.02, 0.5))
+    layer_set_scalar(CUBIC, 1.5, ("lf", 0.02, 0.5))
     layer_set_scalar(CUBIC, 1.5, ("lf", 0.0005, 0.5))
+    # cubic hull [-1, 1.5]: sup|f'| = f'(1.5) = 1.875, and 1.875 * 0.6 > 1
+    with pytest.raises(ValueError, match="CFL hypothesis"):
+        layer_set_scalar(CUBIC, 1.5, ("lf", 0.3, 0.5))
+    # Burgers hull [-1, 1]: sup|f'| = 1, and 1 * 1.2 > 1
+    with pytest.raises(ValueError, match="CFL hypothesis"):
+        layer_set_scalar(BURGERS, 1.0, ("lf", 0.6, 0.5))
 
 
 def test_burgers_set_symmetry():
@@ -247,6 +253,36 @@ def test_lf_oracle_matches_closed_form():
         mask = outside_band(grid, s)
         expected = s.member_grid(grid)
         assert np.array_equal(got[mask], expected[mask]), (model.name, u_B)
+
+
+def test_lf_oracle_checks_cfl_hypothesis():
+    # f'(+-5) = 36 for the cubic: 36 * 0.04 / 0.5 > 1
+    with pytest.raises(ValueError, match="CFL hypothesis"):
+        layer_member_oracle(CUBIC, 1.5, np.linspace(-5, 5, 41), LF_CUBIC)
+    with pytest.raises(ValueError, match="CFL hypothesis"):
+        layer_member_oracle(CUBIC, 1.5, [-5.0], LF_CUBIC)
+    # on the hull [-0.5, 0.5] |f'| peaks at the inflection point 0 (1.5),
+    # not at the ends (1.125)
+    layer_member_oracle(CUBIC, 0.5, [-0.5], ("lf", 0.99 * 0.5 / 1.5, 0.5))
+    with pytest.raises(ValueError, match="CFL hypothesis"):
+        layer_member_oracle(CUBIC, 0.5, [-0.5], ("lf", 1.01 * 0.5 / 1.5, 0.5))
+    with pytest.raises(ValueError):
+        layer_member_oracle(CUBIC, 0.5, [-0.5], ("godunov",))
+
+
+def test_lf_batch_cross_check_agrees_with_exact_oracle():
+    # Iterating the LF layer recursion itself agrees with the exact
+    # phase-line verdict off the tolerance band, so the oracle's audit does
+    # not rest on the monotone-map argument alone.
+    grid = np.linspace(-3, 3, 61)
+    for model, u_B, (_, lam, q) in ((BURGERS, 1.0, LF_BURGERS), (BURGERS, -0.5, LF_BURGERS),
+                                    (CUBIC, 1.5, LF_CUBIC), (CUBIC, 0.0, LF_CUBIC)):
+        exact = layer_member_oracle(model, u_B, grid, ("lf", lam, q))
+        iterated = lf_membership_scalar_batch(model, lam, q, u_B, grid, y_max=20000,
+                                              member_tol=5e-4 * (1.0 + np.abs(grid)))
+        mask = outside_band(grid, layer_set_scalar(model, u_B, "viscous"))
+        assert np.array_equal(iterated[mask], exact[mask]), (model.name, u_B)
+        assert exact[mask].any() and not exact[mask].all(), (model.name, u_B)
 
 
 def test_layer_exclusion_points_fail_oracles():

@@ -172,6 +172,45 @@ def test_unsupported_model_exit_2(cfg, tmp_path):
         assert json.load(fh)["error"] == "schema"
 
 
+@pytest.mark.parametrize("eps", [0, -1])
+def test_viscous_eps_not_positive_exit_2(eps, tmp_path, capsys):
+    cfg = {
+        "task": "simulate",
+        "model": {"name": "burgers"},
+        "scheme": {"type": "viscous", "eps": eps},
+        "grid": {"x_max": 1.0, "cells": 50, "t_end": 0.2},
+        "data": {"u_I": -0.5, "u_B": 1.0},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    with open(out / "error.json") as fh:
+        rep = json.load(fh)
+    assert rep["error"] == "schema"
+    assert "eps" in rep["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_admissible_lf_cfl_violation_exit_3(tmp_path, capsys):
+    # the LF oracle's CFL hypothesis fails on a cubic grid reaching +-5
+    cfg = {
+        "task": "admissible",
+        "model": {"name": "cubic"},
+        "params": {"u_B": 1.5, "grid": [-5.0, 5.0, 41],
+                   "oracle": {"type": "lf", "lam": 0.04, "q": 0.5}, "audit": False},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["admissible", "--config", str(path), "--out", str(out)]) == 3
+    with open(out / "error.json") as fh:
+        rep = json.load(fh)
+    assert rep["error"] == "numerical"
+    assert "CFL hypothesis" in rep["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 

@@ -96,6 +96,19 @@ def test_exact_membership_examples():
     assert not viscous_member_scalar(CUBIC, 0.0, 2.0)
 
 
+def test_exact_membership_is_elementwise():
+    rng = np.random.default_rng(5)
+    for model in (BURGERS, CUBIC):
+        u_B = float(rng.uniform(-2.5, 2.5))
+        vis = np.concatenate([rng.uniform(-3, 3, 50), [u_B, -u_B], model.critical_points])
+        got = viscous_member_scalar(model, u_B, vis)
+        assert got.shape == vis.shape
+        assert got.tolist() == [viscous_member_scalar(model, u_B, float(x)) for x in vis]
+        assert np.array_equal(viscous_member_scalar(model, u_B, vis[:48].reshape(6, 8)),
+                              got[:48].reshape(6, 8))
+    assert type(viscous_member_scalar(BURGERS, 1.0, -2.0)) is bool
+
+
 # Discrete membership ---------------------------------------------------------
 
 

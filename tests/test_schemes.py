@@ -246,6 +246,12 @@ def test_viscous_constant_state_system():
     np.testing.assert_allclose(sol.final, np.broadcast_to(state, (50, 2)), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+def test_viscous_rejects_eps_not_finite_positive(eps):
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        run_viscous(BURGERS, -0.5, 0.3, h=0.02, eps=eps, t_end=0.05, n_cells=40)
+
+
 def test_viscous_needs_constant_diagonal_viscosity():
     u0 = np.linspace(-0.5, 0.5, 40)
     state_dependent = dataclasses.replace(
