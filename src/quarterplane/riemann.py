@@ -215,12 +215,12 @@ def godunov_trace_scalar(model: SystemModel, v, w):
     cand = [lo, hi] + [np.clip(c, lo, hi) for c in model.critical_points]
     cand = np.stack(np.broadcast_arrays(*cand))
     fvals = np.asarray(model.flux(cand), dtype=float)
-    tol = 1e-12 * (1.0 + np.abs(fvals).max(axis=0))
     fmin = fvals.min(axis=0)
     fmax = fvals.max(axis=0)
-    # Largest candidate attaining the min / smallest attaining the max.
-    at_min = np.where(fvals <= fmin + tol, cand, -np.inf)
-    at_max = np.where(fvals >= fmax - tol, cand, np.inf)
+    # Largest candidate attaining the min / smallest attaining the max,
+    # compared exactly: a tolerance would pick the downwind state at near-ties.
+    at_min = np.where(fvals <= fmin, cand, -np.inf)
+    at_max = np.where(fvals >= fmax, cand, np.inf)
     trace_up = at_min.max(axis=0)
     trace_down = at_max.min(axis=0)
     return np.where(v <= w, trace_up, trace_down)

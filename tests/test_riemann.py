@@ -114,6 +114,13 @@ def test_trace_matches_vectorized_trace():
             assert float(m.flux(fan.trace_at_zero_plus)) == pytest.approx(float(m.flux(t)), abs=1e-10)
 
 
+def test_godunov_trace_near_tie_takes_upwind_state():
+    # The shock 2 -> 2 - 1e-12 moves right, so the 0+ trace is the left state;
+    # a tie tolerance on f would return the downwind state instead.
+    assert godunov_trace_scalar(BURGERS, 2.0, 2.0 - 1e-12) == 2.0
+    assert godunov_trace_scalar(BURGERS, -2.0, -2.0 + 1e-12) == -2.0 + 1e-12
+
+
 def test_grid_envelope_fallback_agrees():
     # Force the generic Graham-scan path by disguising the cubic flux.
     from dataclasses import replace
