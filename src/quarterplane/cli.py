@@ -172,6 +172,16 @@ def _build_model(cfg):
     return make_model(m["name"], **m.get("params", {}))
 
 
+def _number(section, key, ctx, integer=False):
+    """section[key] if it is a finite positive number (a positive integer
+    if ``integer``); a SchemaError if it is missing or anything else."""
+    val = section.get(key)
+    if type(val) not in ((int,) if integer else (int, float)) or not (np.isfinite(val) and val > 0):
+        kind = "integer" if integer else "number"
+        raise SchemaError(f"{ctx}: {key} must be a finite positive {kind}, got {val!r}")
+    return val
+
+
 def _run_scheme(model, cfg, override=None):
     scheme = dict(cfg["scheme"])
     if override:
@@ -180,23 +190,19 @@ def _run_scheme(model, cfg, override=None):
     data = cfg["data"]
     u0 = _piecewise(data["u_I"], model.dimension)
     u_B = _piecewise(data["u_B"], model.dimension)
-    n_cells = int(grid["cells"])
-    h = float(grid["x_max"]) / n_cells
-    common = dict(h=h, t_end=float(grid["t_end"]), n_cells=n_cells,
+    n_cells = _number(grid, "cells", "grid", integer=True)
+    h = float(_number(grid, "x_max", "grid")) / n_cells
+    common = dict(h=h, t_end=float(_number(grid, "t_end", "grid")), n_cells=n_cells,
                   n_snapshots=int(grid.get("snapshots", 33)))
     stype = scheme["type"]
     if stype == "viscous":
-        eps = scheme.get("eps")
-        if not (isinstance(eps, (int, float)) and np.isfinite(eps) and eps > 0):
-            raise SchemaError(f"scheme: eps must be a finite positive number, got {eps!r}")
-        return schemes.run_viscous(model, u0, u_B, eps=float(eps), **common)
-    if stype == "lf":
-        return schemes.run_lf(model, u0, u_B, lam=float(scheme["lam"]),
-                              q=float(scheme["q"]), **common)
-    if stype == "split":
-        return schemes.run_split(model, u0, u_B, lam=float(scheme["lam"]),
-                                 q=float(scheme["q"]), **common)
-    return schemes.run_godunov(model, u0, u_B, lam=float(scheme["lam"]), **common)
+        return schemes.run_viscous(model, u0, u_B, eps=float(_number(scheme, "eps", "scheme")),
+                                   **common)
+    lam = float(_number(scheme, "lam", "scheme"))
+    if stype == "godunov":
+        return schemes.run_godunov(model, u0, u_B, lam=lam, **common)
+    run = schemes.run_lf if stype == "lf" else schemes.run_split
+    return run(model, u0, u_B, lam=lam, q=float(_number(scheme, "q", "scheme")), **common)
 
 
 def task_simulate(cfg, out, seed, jobs):
@@ -310,9 +316,14 @@ def task_layer(cfg, out, seed, jobs):
 def task_admissible(cfg, out, seed, jobs):
     model = _build_model(cfg)
     p = cfg["params"]
-    u_B = float(p["u_B"])
-    lo, hi, n = p.get("grid", (-3.0, 3.0, 241))
-    grid = np.linspace(float(lo), float(hi), int(n))
+    try:
+        u_B = float(p["u_B"])
+        lo, hi, n = (float(v) for v in p.get("grid", (-3.0, 3.0, 241)))
+        if not np.all(np.isfinite([u_B, lo, hi, n])):
+            raise ValueError("a value is not finite")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"params: u_B and grid [lo, hi, n] must be finite numbers ({exc})") from exc
+    grid = np.linspace(lo, hi, int(n))
     rset = adm.riemann_set_scalar(model, u_B)
     result = {
         "model": model.name,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from quarterplane.riemann import scalar_riemann_trace
+from quarterplane.riemann import godunov_trace_scalar
 from quarterplane.systems import SystemModel, UnsupportedModelError, eigen_structure
 
 __all__ = [
@@ -244,11 +244,11 @@ def discrete_layer_membership(model: SystemModel, scheme, u_B, v_inf,
     if scheme[0] == "godunov":
         if model.dimension != 1:
             raise UnsupportedModelError("the Godunov membership test is scalar-only here")
-        fan = scalar_riemann_trace(model, float(u0[0]), float(vi[0]))
-        dist = abs(fan.trace_at_zero_plus - float(vi[0]))
+        trace = float(godunov_trace_scalar(model, u0[0], vi[0]))
+        dist = abs(trace - float(vi[0]))
         verdict = "converged" if dist <= tol else "diverged"
         ys = np.array([0.0, 1.0])
-        states = np.array([float(u0[0]), fan.trace_at_zero_plus])
+        states = np.array([float(u0[0]), trace])
         return LayerProfile("discrete", ys, states, u0, vi, verdict, float(dist))
 
     if scheme[0] != "lf":

@@ -1,7 +1,9 @@
 """Exact Riemann solvers and the Godunov flux.
 
-Scalar laws are solved through the convex/concave envelope of the flux on the
-data interval; the p-system of nonlinear elasticity is solved by intersecting
+Scalar fans are the convex/concave envelope of the flux on the data interval,
+in closed form for a convex flux or a cubic with one inflection point; their
+trace is the extremizer of f on that interval (Osher, SIAM J. Numer. Anal.
+21, 1984).  The p-system of nonlinear elasticity is solved by intersecting
 its two wave curves with a damped Newton iteration.  The trace returned by
 every solver is the right limit of the self-similar solution at x/t = 0+: a
 stationary shock therefore contributes its *right* state.
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from quarterplane.systems import SystemModel, UnsupportedModelError
 
@@ -55,149 +56,55 @@ class RiemannFan:
     flux_at_zero: object
 
 
-# --- Scalar envelopes --------------------------------------------------------
-
-_ENVELOPE_SAMPLES = 4097  # 2^12 + 1 grid for the generic fallback
+# --- Scalar fans ------------------------------------------------------------
 
 
-def _chord_speed(f, a, b):
-    return (float(f(b)) - float(f(a))) / (b - a)
+def _rarefaction(df, a, b):
+    return Wave("rarefaction", a, b, (float(df(a)), float(df(b))))
 
 
-def _convex_env_waves_analytic(model, a, b):
-    """Wave decomposition of the convex envelope on [a, b], a < b."""
+def _shock(f, a, b):
+    s = (float(f(b)) - float(f(a))) / (b - a)
+    return Wave("shock", a, b, (s, s))
+
+
+def _scalar_waves(model, a, b):
+    """Waves from a to b (a != b): the convex envelope of f on [a, b] for
+    rising data, the concave one for falling data.
+
+    A convex flux gives one rarefaction (rising) or one shock (falling).
+    Otherwise f must be a cubic, concave left and convex right of its single
+    inflection point c.  The envelope is f itself, a rarefaction, when a lies
+    on the matching side of c (a >= c rising, a <= c falling).  Else the chord
+    from a touches f at t = (3c - a)/2: one shock when b does not pass t,
+    otherwise a tangential shock a -> t and a rarefaction t -> b.
+    """
     f, df = model.flux, model.dflux
+    rising = a < b
     if model.flux_convex:
-        return [Wave("rarefaction", a, b, (float(df(a)), float(df(b))))]
-    if model.name == "cubic":
-        # f = (u^3 - 3u)/2 is concave left of 0 and convex right of 0.  The
-        # tangent from (a, f(a)) with a < 0 touches the curve at -a/2.
-        if a >= 0.0:
-            return [Wave("rarefaction", a, b, (float(df(a)), float(df(b))))]
-        t = -0.5 * a
-        if b <= t:
-            s = _chord_speed(f, a, b)
-            return [Wave("shock", a, b, (s, s))]
-        s = float(df(t))  # tangential shock a -> t
-        return [Wave("shock", a, t, (s, s)),
-                Wave("rarefaction", t, b, (s, float(df(b))))]
-    return _grid_env_waves(model, a, b, lower=True)
-
-
-def _concave_env_waves_analytic(model, a, b):
-    """Wave decomposition of the concave envelope for data a > b."""
-    f, df = model.flux, model.dflux
-    if model.flux_convex:
-        s = _chord_speed(f, a, b)
-        return [Wave("shock", a, b, (s, s))]
-    if model.name == "cubic":
-        # f is odd, so the falling problem mirrors the rising one.
-        mirrored = _convex_env_waves_analytic(model, -a, -b)
-        return [Wave(w.kind, -w.left, -w.right, w.speed_range) for w in mirrored]
-    return _grid_env_waves(model, a, b, lower=False)
-
-
-def _lower_hull(x, y):
-    """Indices of the lower convex hull of the graph (x increasing)."""
-    hull = []
-    for i in range(len(x)):
-        while len(hull) >= 2:
-            i1, i2 = hull[-2], hull[-1]
-            cross = (x[i2] - x[i1]) * (y[i] - y[i1]) - (x[i] - x[i1]) * (y[i2] - y[i1])
-            if cross <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return hull
-
-
-def _grid_env_waves(model, a, b, lower):
-    """Generic envelope by a Graham scan over a fine sample grid."""
-    left_first = a < b
-    lo, hi = (a, b) if left_first else (b, a)
-    x = np.linspace(lo, hi, _ENVELOPE_SAMPLES)
-    y = np.asarray(model.flux(x), dtype=float)
-    idx = _lower_hull(x, y if lower else -y)
-    pts = x[idx]
-    step = (hi - lo) / (_ENVELOPE_SAMPLES - 1)
-    f = model.flux
-    segs = []  # (kind, u_start, u_end) in increasing-u order
-    for u0, u1 in zip(pts[:-1], pts[1:]):
-        kind = "rarefaction" if (u1 - u0) <= 1.5 * step else "shock"
-        if segs and segs[-1][0] == kind == "rarefaction":
-            segs[-1] = (kind, segs[-1][1], u1)
-        else:
-            segs.append((kind, u0, u1))
-    if not left_first:
-        segs = [(k, e, s) for (k, s, e) in reversed(segs)]
-    waves = []
-    for kind, u0, u1 in segs:
-        if kind == "shock":
-            s = _chord_speed(f, u0, u1)
-            waves.append(Wave("shock", u0, u1, (s, s)))
-        else:
-            s0 = _grid_slope(model, u0, step)
-            s1 = _grid_slope(model, u1, step)
-            waves.append(Wave("rarefaction", u0, u1, (min(s0, s1), max(s0, s1))))
-    return waves
-
-
-def _grid_slope(model, u, step):
-    if model.dflux is not None:
-        return float(model.dflux(u))
-    f = model.flux
-    return (float(f(u + 0.5 * step)) - float(f(u - 0.5 * step))) / step
-
-
-def _scalar_waves(model, ul, ur):
-    if ul == ur:
-        return []
-    if ul < ur:
-        return _convex_env_waves_analytic(model, ul, ur)
-    return _concave_env_waves_analytic(model, ul, ur)
-
-
-def _sonic_state(model, w: Wave):
-    """State inside a rarefaction whose characteristic speed vanishes."""
-    lo = min(w.left, w.right)
-    hi = max(w.left, w.right)
-    for c in model.critical_points:
-        if lo - 1e-12 <= c <= hi + 1e-12:
-            return float(np.clip(c, lo, hi))
-    if model.dflux is not None:
-        return brentq(lambda u: float(model.dflux(u)), lo, hi, xtol=1e-14)
-    raise SolverFailure("could not locate the sonic state in a rarefaction")
-
-
-def _walk_trace(model, ul, waves):
-    state = ul
-    tol = 1e-12 * (1.0 + abs(ul))
-    for w in waves:
-        if w.kind == "shock":
-            if w.speed <= tol:
-                state = w.right  # zero-speed shocks resolve to the right state
-            else:
-                break
-        else:
-            s0, s1 = w.speed_range
-            if s1 <= tol:
-                state = w.right
-            elif s0 >= -tol:
-                break
-            else:
-                state = _sonic_state(model, w)
-                break
-    return state
+        return [_rarefaction(df, a, b) if rising else _shock(f, a, b)]
+    if len(model.inflection_points) != 1:
+        raise UnsupportedModelError(
+            "scalar Riemann fans need a convex flux or a cubic with one inflection point")
+    c = model.inflection_points[0]
+    if (a >= c) if rising else (a <= c):
+        return [_rarefaction(df, a, b)]
+    t = 0.5 * (3.0 * c - a)
+    if (b <= t) if rising else (b >= t):
+        return [_shock(f, a, b)]
+    s = float(df(t))
+    return [Wave("shock", a, t, (s, s)), Wave("rarefaction", t, b, (s, float(df(b))))]
 
 
 def scalar_riemann_trace(model: SystemModel, u_left: float, u_right: float) -> RiemannFan:
-    """Self-similar solution of a scalar Riemann problem, traced at x/t = 0+."""
+    """Self-similar solution of a scalar Riemann problem.  Its trace at
+    x/t = 0+ is the extremizer of f on the data interval (Osher's formula,
+    ``godunov_trace_scalar``)."""
     if model.dimension != 1:
         raise UnsupportedModelError("scalar_riemann_trace requires a scalar model")
     ul, ur = float(u_left), float(u_right)
-    waves = tuple(_scalar_waves(model, ul, ur))
-    trace = _walk_trace(model, ul, waves)
+    waves = tuple(_scalar_waves(model, ul, ur)) if ul != ur else ()
+    trace = float(godunov_trace_scalar(model, ul, ur))
     return RiemannFan(ul, ur, waves, trace, float(model.flux(trace)))
 
 
@@ -239,53 +146,21 @@ def godunov_flux(model: SystemModel, u_left, u_right):
 
 def conjugate_state(model: SystemModel, u_B: float) -> float:
     """The other root of f(u) = f(u_B) for a strictly convex scalar flux."""
-    if model.dimension != 1 or not model.flux_convex:
+    if model.dimension != 1 or not model.flux_convex or model.level_roots is None:
         raise UnsupportedModelError("conjugate_state requires a strictly convex scalar flux")
-    f, df = model.flux, model.dflux
     u_B = float(u_B)
-    if model.critical_points:
-        u_star = model.critical_points[0]
-    else:
-        lo, hi = -1.0, 1.0
-        while df(lo) > 0:
-            lo *= 2.0
-        while df(hi) < 0:
-            hi *= 2.0
-        u_star = brentq(lambda u: float(df(u)), lo, hi, xtol=1e-14)
+    u_star = model.critical_points[0]
     if abs(u_B - u_star) <= 1e-12 * (1.0 + abs(u_star)):
         raise ValueError("the sonic state has no conjugate")
-    if model.name == "burgers":
-        return -u_B
-    target = float(f(u_B))
-    direction = -1.0 if u_B > u_star else 1.0
-    step = max(1.0, abs(u_B - u_star))
-    far = u_star + direction * step
-    while float(f(far)) < target:
-        step *= 2.0
-        far = u_star + direction * step
-    lo, hi = (far, u_star) if direction < 0 else (u_star, far)
-    return brentq(lambda u: float(f(u)) - target, lo, hi, xtol=1e-14)
+    return model.level_roots(u_B)[0]
 
 
 def cubic_companions(model: SystemModel, u_B: float):
-    """Roots u != u_B of f(u) = f(u_B) for the cubic flux, sorted ascending.
-
-    Deflating (u - u_B) from u^3 - 3u - (u_B^3 - 3 u_B) leaves the quadratic
-    u^2 + u_B u + (u_B^2 - 3).
-    """
-    if model.name != "cubic":
-        raise UnsupportedModelError("cubic_companions requires the cubic model")
-    u_B = float(u_B)
-    disc = 12.0 - 3.0 * u_B * u_B
-    if disc < 0.0:
-        return ()
-    if disc <= 1e-12:
-        roots = [-0.5 * u_B]  # double root at |u_B| = 2
-    else:
-        rt = np.sqrt(disc)
-        roots = [0.5 * (-u_B - rt), 0.5 * (-u_B + rt)]
-    out = tuple(sorted(r for r in roots if abs(r - u_B) > 1e-9))
-    return out
+    """Roots u != u_B of f(u) = f(u_B) for a non-convex scalar flux (the
+    cubic), sorted ascending."""
+    if model.flux_convex or model.level_roots is None:
+        raise UnsupportedModelError("cubic_companions requires a non-convex flux with level roots")
+    return model.level_roots(float(u_B))
 
 
 # --- p-system solver ---------------------------------------------------------

@@ -357,13 +357,15 @@ def run_viscous(model: SystemModel, u0, u_B, *, h, eps, t_end,
     nu = alpha tau/h and mu = eps b tau/h^2 the amplification factor obeys
     |g|^2 = (1 + nu^2 sin^2 theta) / (1 + 2 mu (1 - cos theta))^2 <= 1
     whenever nu <= 1 and nu^2 <= 2 mu.  eps must be finite and positive
-    (ValueError otherwise)."""
+    (ValueError otherwise); data too large for a positive tau raise CFLError."""
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     xs, ub, cells, alpha = _start(model, u0, u_B, h, n_cells or 200, pinned=False)
     b = _constant_diagonal_viscosity(model, [cells[0], cells[-1], ub(0.0)])
     alpha = max(alpha, 1e-12)
     tau = cfl * min(h / alpha, 2.0 * eps * float(np.min(b)) / (alpha * alpha))
+    if not tau > 0.0:  # alpha or alpha^2 is not finite
+        raise CFLError(f"viscous: no positive time step at max|char speed| = {alpha:.3g}")
     n_steps = max(int(np.ceil(t_end / tau - 1e-12)), 1)
     tau = t_end / n_steps
 

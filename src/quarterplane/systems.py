@@ -95,6 +95,8 @@ class SystemModel:
     # Vectorized max characteristic speed, used for CFL control.
     max_char_speed: Optional[Callable] = None
     flux_convex: bool = False
+    # u -> the roots v != u of f(v) = f(u), ascending (closed-form scalars).
+    level_roots: Optional[Callable] = None
 
     def in_region(self, state) -> bool:
         u = np.atleast_1d(np.asarray(state, dtype=float))
@@ -170,15 +172,9 @@ def eigen_structure(model: SystemModel, state, tol_char: Optional[float] = None)
             tol_char=tc,
         )
     a = np.asarray(model.jacobian(state), dtype=float)
-    if a.shape == (2, 2):
-        evals, right = _eig2(a)
-    else:
-        ev, rv = np.linalg.eig(a)
-        if np.max(np.abs(ev.imag)) > 1e-9 * (1.0 + np.max(np.abs(ev.real))):
-            raise HyperbolicityError("complex eigenvalues")
-        order = np.argsort(ev.real)
-        evals = ev.real[order]
-        right = rv.real[:, order]
+    if a.shape != (2, 2):
+        raise UnsupportedModelError("eigen_structure supports scalar and 2x2 models")
+    evals, right = _eig2(a)
     left = np.linalg.inv(right)
     tc = tol_char if tol_char is not None else 1e-9 * (1.0 + float(np.max(np.abs(evals))))
     p = int(np.sum(evals < -tc))
@@ -255,6 +251,7 @@ def _make_burgers(params):
         params=dict(params), dflux=df, critical_points=(0.0,),
         max_char_speed=lambda u: np.abs(np.asarray(u, dtype=float)),
         flux_convex=True,
+        level_roots=lambda u: (-float(u),) if u != 0.0 else (),
     )
 
 
@@ -276,6 +273,21 @@ def _make_cubic(params):
         convexity="strictly-convex",
         label="u^2/2",
     )
+
+    def level_roots(u):
+        # Deflating (v - u) from v^3 - 3v - (u^3 - 3u) leaves the quadratic
+        # v^2 + u v + (u^2 - 3).
+        u = float(u)
+        disc = 12.0 - 3.0 * u * u
+        if disc < 0.0:
+            return ()
+        if disc <= 1e-12:
+            roots = [-0.5 * u]  # double root at |u| = 2
+        else:
+            rt = np.sqrt(disc)
+            roots = [0.5 * (-u - rt), 0.5 * (-u + rt)]
+        return tuple(sorted(r for r in roots if abs(r - u) > 1e-9))
+
     return SystemModel(
         name="cubic", dimension=1, flux=f,
         jacobian=lambda u: np.array([[float(df(u))]]),
@@ -285,7 +297,7 @@ def _make_cubic(params):
         params=dict(params), dflux=df, critical_points=(-1.0, 1.0),
         inflection_points=(0.0,),
         max_char_speed=lambda u: np.abs(df(u)),
-        flux_convex=False,
+        flux_convex=False, level_roots=level_roots,
     )
 
 

