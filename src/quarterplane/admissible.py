@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from quarterplane.layers import viscous_member_scalar
+from quarterplane.layers import elasto_layer_curve, viscous_member_scalar
 from quarterplane.riemann import conjugate_state, cubic_companions, godunov_trace_scalar
 from quarterplane.schemes import numerical_flux
 from quarterplane.systems import SystemModel, UnsupportedModelError, kruzkov_pair
@@ -186,6 +185,8 @@ def scheme_entropy_check(model: SystemModel, scheme, u_0: float, u_B: float,
     best = int(np.argmax(margins))
     if margins[best] >= -TOL_SAMPLED:
         return True
+    from scipy.optimize import minimize_scalar
+
     bracket_lo = v_grid[max(best - 1, 0)]
     bracket_hi = v_grid[min(best + 1, n_grid - 1)]
     res = minimize_scalar(lambda v: -float(margin(v)),
@@ -360,8 +361,6 @@ def inclusion_audit(model: SystemModel, u_B, regularization, n_samples: int = 10
 
     if model.name != "elastodynamics" or regularization != "viscous":
         raise UnsupportedModelError("system audits are supported for the viscous p-system")
-    from quarterplane.layers import elasto_layer_curve
-
     u_B = np.asarray(u_B, dtype=float)
     n_curve = n_samples // 2
     vs = u_B[0] + rng.uniform(-0.5, 0.5, max(n_curve, 0))

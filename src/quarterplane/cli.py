@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -60,6 +59,21 @@ def _require(cfg, key, types, ctx="config"):
     return cfg[key]
 
 
+def _finite_number(x) -> bool:
+    """A JSON int or float that a float holds (no NaN, inf or huge int)."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _number(section, key, ctx, integer=False):
+    """section[key] if it is a finite positive number (a positive integer
+    if ``integer``); a SchemaError if it is missing or anything else."""
+    val = section.get(key)
+    if not (_finite_number(val) and val > 0) or (integer and type(val) is not int):
+        kind = "integer" if integer else "number"
+        raise SchemaError(f"{ctx}: {key} must be a finite positive {kind}, got {val!r}")
+    return val
+
+
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
@@ -90,7 +104,20 @@ def validate_config(cfg: dict) -> None:
         if svals != values and svals[::-1] != values:
             raise SchemaError("sweep: values must be monotone")
     if task in ("layer", "admissible", "riemann"):
-        _require(cfg, "params", dict)
+        params = _require(cfg, "params", dict)
+        if task == "layer" and params.get("mode", "profile") == "profile":
+            for key in ("u_B", "v_inf"):  # a finite number or a list of them
+                val = params.get(key)
+                if val == [] or not all(map(_finite_number, val if isinstance(val, list) else [val])):
+                    raise SchemaError(f"params: {key} must be a finite number or a list "
+                                      f"of finite numbers, got {val!r}")
+        if task == "admissible":
+            grid = params.get("grid", [-3.0, 3.0, 241])
+            if not (_finite_number(params.get("u_B")) and isinstance(grid, list)
+                    and len(grid) == 3 and all(map(_finite_number, grid))):
+                raise SchemaError("params: u_B and grid [lo, hi, n] must be finite numbers")
+            if "samples" in params:
+                _number(params, "samples", "params", integer=True)
 
 
 def _piecewise(table, dimension):
@@ -170,16 +197,6 @@ def _atomic_write(path: str, text: str) -> None:
 def _build_model(cfg):
     m = cfg["model"]
     return make_model(m["name"], **m.get("params", {}))
-
-
-def _number(section, key, ctx, integer=False):
-    """section[key] if it is a finite positive number (a positive integer
-    if ``integer``); a SchemaError if it is missing or anything else."""
-    val = section.get(key)
-    if type(val) not in ((int,) if integer else (int, float)) or not (np.isfinite(val) and val > 0):
-        kind = "integer" if integer else "number"
-        raise SchemaError(f"{ctx}: {key} must be a finite positive {kind}, got {val!r}")
-    return val
 
 
 def _run_scheme(model, cfg, override=None):
@@ -316,13 +333,8 @@ def task_layer(cfg, out, seed, jobs):
 def task_admissible(cfg, out, seed, jobs):
     model = _build_model(cfg)
     p = cfg["params"]
-    try:
-        u_B = float(p["u_B"])
-        lo, hi, n = (float(v) for v in p.get("grid", (-3.0, 3.0, 241)))
-        if not np.all(np.isfinite([u_B, lo, hi, n])):
-            raise ValueError("a value is not finite")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"params: u_B and grid [lo, hi, n] must be finite numbers ({exc})") from exc
+    u_B = float(p["u_B"])
+    lo, hi, n = p.get("grid", (-3.0, 3.0, 241))
     grid = np.linspace(lo, hi, int(n))
     rset = adm.riemann_set_scalar(model, u_B)
     result = {
@@ -395,11 +407,8 @@ def task_study(cfg, out, seed, jobs):
             return _run_scheme(model, {**cfg, "grid": {**cfg["grid"], "cells": int(v)}})
         raise SchemaError(f"unknown sweep parameter {param!r}")
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        sols = list(pool.map(solve, values))
     rows, flags = diagnostics.convergence_study(
-        model, dict(zip(values, sols)).__getitem__, values,
-        expected_trace=sweep.get("expected_trace"))
+        model, solve, values, expected_trace=sweep.get("expected_trace"))
 
     n_comp = np.atleast_1d(rows[0].trace).size
     header = [param] + [f"trace{i + 1}" for i in range(n_comp)] \

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from quarterplane.riemann import godunov_trace_scalar
 from quarterplane.systems import SystemModel, UnsupportedModelError, eigen_structure
@@ -104,6 +103,8 @@ def _monotone_tail(dists: np.ndarray) -> bool:
 
 def viscous_layer_profile(model: SystemModel, u_B, v_inf, y_max: float = 200.0) -> LayerProfile:
     """Integrate the layer ODE from u_B and report convergence to v_inf."""
+    from scipy.integrate import solve_ivp
+
     n = model.dimension
     u0 = np.atleast_1d(np.asarray(u_B, dtype=float))
     vi = np.atleast_1d(np.asarray(v_inf, dtype=float))
@@ -419,13 +420,8 @@ def manifold_report(model: SystemModel, regularization, u_B, v_inf) -> ManifoldR
 # --- Model-specific closed forms ---------------------------------------------
 
 
-def lagrangian_layer_iterate(lam: float, state_y, limit):
-    """Closed-form discrete layer step for the Lagrangian gas model.
-
-    With w = v/lam the recursion reduces to the quadratic
-    w(y+1)^2 - N(y) w(y+1) + 1 = 0 whose roots multiply to one; the larger
-    root is the stable choice when w_inf = v_inf/lam > 1.
-    """
+def _lagrangian_quadratic(lam: float, state_y, limit):
+    """N(y) and sqrt(N(y)^2 - 4) of the step quadratic w^2 - N(y) w + 1 = 0."""
     v_y, u_y = float(state_y[0]), float(state_y[1])
     v_inf, u_inf = float(limit[0]), float(limit[1])
     if v_y <= 0.0:
@@ -438,21 +434,25 @@ def lagrangian_layer_iterate(lam: float, state_y, limit):
     disc = n_val * n_val - 4.0
     if disc < 0.0:
         raise ValueError("complex roots in the layer recursion (N^2 < 4)")
-    root = np.sqrt(disc)
-    v_next = 0.5 * lam * (n_val + root)
-    u_next = 2.0 * u_inf - u_y + v_y / lam - 0.5 * n_val - 0.5 * root
-    return np.array([v_next, u_next])
+    return n_val, np.sqrt(disc)
+
+
+def lagrangian_layer_iterate(lam: float, state_y, limit):
+    """Closed-form discrete layer step for the Lagrangian gas model.
+
+    With w = v/lam the recursion reduces to the quadratic
+    w(y+1)^2 - N(y) w(y+1) + 1 = 0 whose roots multiply to one; the larger
+    root is the stable choice when w_inf = v_inf/lam > 1.
+    """
+    n_val, root = _lagrangian_quadratic(lam, state_y, limit)
+    v_y, u_y, u_inf = float(state_y[0]), float(state_y[1]), float(limit[1])
+    return np.array([0.5 * lam * (n_val + root),
+                     2.0 * u_inf - u_y + v_y / lam - 0.5 * n_val - 0.5 * root])
 
 
 def lagrangian_quadratic_roots(lam: float, state_y, limit):
     """Both roots of the step quadratic (their product is identically 1)."""
-    v_y, u_y = float(state_y[0]), float(state_y[1])
-    v_inf, u_inf = float(limit[0]), float(limit[1])
-    w_y = v_y / lam
-    w_inf = v_inf / lam
-    n_val = -2.0 * u_y + 2.0 * u_inf - 1.0 / w_y + 2.0 / w_inf + w_y
-    disc = n_val * n_val - 4.0
-    root = np.sqrt(max(disc, 0.0))
+    n_val, root = _lagrangian_quadratic(lam, state_y, limit)
     return 0.5 * (n_val - root), 0.5 * (n_val + root)
 
 
@@ -465,20 +465,24 @@ def elasto_layer_curve(model: SystemModel, base, v_inf_range) -> CurveSet:
     if model.name != "elastodynamics":
         raise UnsupportedModelError("elasto_layer_curve requires the elastodynamics model")
     v_B, u_B = float(base[0]), float(base[1])
-    sig = model.params["sigma"]
     sp = model.params["sigma_prime"]
     vs = np.asarray(v_inf_range, dtype=float)
+    excess = model.params.get("sigma_excess")
+    if excess is None:
+        from scipy.integrate import quad
+        sig = model.params["sigma"]
+
+        def excess(v_i, v_B):
+            sig_i = float(sig(v_i))
+            val, _ = quad(lambda s: float(sig(s)) - sig_i, v_i, v_B,
+                          epsabs=1e-12, epsrel=1e-10, limit=200)
+            return abs(val)
 
     def u_inf(v_i):
         if v_i == v_B:
             return u_B
-        if v_i < v_B:
-            val, _ = quad(lambda s: float(sig(s)) - float(sig(v_i)), v_i, v_B,
-                          epsabs=1e-12, epsrel=1e-10, limit=200)
-            return u_B - np.sqrt(max(2.0 * val, 0.0))
-        val, _ = quad(lambda s: float(sig(v_i)) - float(sig(s)), v_B, v_i,
-                      epsabs=1e-12, epsrel=1e-10, limit=200)
-        return u_B + np.sqrt(max(2.0 * val, 0.0))
+        du = np.sqrt(2.0 * excess(v_i, v_B))
+        return u_B - du if v_i < v_B else u_B + du
 
     pts = np.array([[v, u_inf(v)] for v in vs])
     t = np.array([1.0, np.sqrt(float(sp(v_B)))])

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from quarterplane.systems import SystemModel, UnsupportedModelError
 
@@ -167,7 +166,12 @@ def cubic_companions(model: SystemModel, u_B: float):
 
 
 def _sqrt_sigma_p_integral(model, v0, v1):
-    """Integral of sqrt(sigma'(s)) over [v0, v1] (signed)."""
+    """Integral of sqrt(sigma'(s)) over [v0, v1] (signed), in closed form if the model has one."""
+    closed = model.params.get("sqrt_sigma_prime_integral")
+    if closed is not None:
+        return closed(v0, v1)
+    from scipy.integrate import quad
+
     sp = model.params["sigma_prime"]
     val, _ = quad(lambda s: np.sqrt(float(sp(s))), v0, v1, epsabs=1e-12, epsrel=1e-10, limit=200)
     return val
@@ -249,25 +253,16 @@ def psystem_riemann_trace(model: SystemModel, left, right,
     u_mid = _phi1(model, v, left)
     middle = np.array([v, u_mid])
 
-    waves = []
-    # 1-wave: left -> middle
-    if abs(v - left[0]) > 1e-14 * (1.0 + abs(v)):
-        if v > left[0]:
-            s = -np.sqrt((float(sig(v)) - float(sig(left[0]))) / (v - left[0]))
-            waves.append(Wave("shock", left.copy(), middle.copy(), (s, s)))
+    waves = []  # the 1-wave left -> middle, then the 2-wave middle -> right
+    for sign, a, b, v_end in ((-1.0, left, middle, left[0]), (1.0, middle, right, right[0])):
+        if abs(v - v_end) <= 1e-14 * (1.0 + abs(v)):
+            continue
+        if v > v_end:
+            s = sign * np.sqrt((float(sig(v)) - float(sig(v_end))) / (v - v_end))
+            waves.append(Wave("shock", a.copy(), b.copy(), (s, s)))
         else:
-            s0 = -np.sqrt(float(sp(left[0])))
-            s1 = -np.sqrt(float(sp(v)))
-            waves.append(Wave("rarefaction", left.copy(), middle.copy(), (s0, s1)))
-    # 2-wave: middle -> right
-    if abs(v - right[0]) > 1e-14 * (1.0 + abs(v)):
-        if v > right[0]:
-            s = np.sqrt((float(sig(v)) - float(sig(right[0]))) / (v - right[0]))
-            waves.append(Wave("shock", middle.copy(), right.copy(), (s, s)))
-        else:
-            s0 = np.sqrt(float(sp(v)))
-            s1 = np.sqrt(float(sp(right[0])))
-            waves.append(Wave("rarefaction", middle.copy(), right.copy(), (s0, s1)))
+            speeds = tuple(sign * np.sqrt(float(sp(x[0]))) for x in (a, b))
+            waves.append(Wave("rarefaction", a.copy(), b.copy(), speeds))
 
     trace = middle.copy()
     return RiemannFan(left, right, tuple(waves), trace, np.asarray(model.flux(trace)))

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from quarterplane.riemann import godunov_trace_scalar
 from quarterplane.systems import SystemModel, UnsupportedModelError
@@ -316,6 +315,8 @@ def _implicit_diffusion(b, eps, tau, h, n_cells):
     the last).  That equals x up to the solver's residual but conserves
     mass to rounding, which x alone does not when mu is large.  It returns
     the diffusive flux -2 eps b (x_0 - u_B) / h through the first face."""
+    from scipy.linalg import lapack
+
     mu = eps * b * tau / (h * h)
     solves = []
     for mu_k in np.unique(mu):

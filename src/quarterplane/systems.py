@@ -8,6 +8,7 @@ for scalar models are plain floats (or numpy arrays, elementwise); states for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -356,10 +357,29 @@ def _default_stress_energy(v):
     return 0.5 * v * v + v ** 4 / 12.0
 
 
+def _default_sqrt_stress_prime_integral(v0, v1):
+    """Integral of sqrt(sigma') = sqrt(1 + s^2) over [v0, v1]: A(v1) - A(v0)."""
+    a0, a1 = (0.5 * (v * math.sqrt(1.0 + v * v) + math.asinh(v)) for v in (float(v0), float(v1)))
+    return a1 - a0
+
+
+def _default_stress_excess(v_i, v_B):
+    """Integral of |sigma(s) - sigma(v_i)| between v_i and v_B in powers of d = v_B - v_i;
+    E(v_B) - E(v_i) - sigma(v_i) d would cancel near the base point."""
+    v_i = float(v_i)
+    d = float(v_B) - v_i
+    return abs(d * d * (0.5 * (1.0 + v_i * v_i) + d * (v_i / 3.0 + d / 12.0)))
+
+
 def _make_elastodynamics(params):
     sigma = params.get("sigma", _default_stress)
     sigma_p = params.get("sigma_prime", _default_stress_prime)
     sigma_int = params.get("sigma_energy", _default_stress_energy)
+    # closed forms of the default stress; a user-supplied law without them
+    # gets None, and its integrals fall back to quadrature
+    custom = "sigma" in params or "sigma_prime" in params
+    sqrt_sp = params.get("sqrt_sigma_prime_integral", None if custom else _default_sqrt_stress_prime_integral)
+    excess = params.get("sigma_excess", None if custom else _default_stress_excess)
     if sigma_p(1.0) <= 0.0 or sigma_p(-1.0) <= 0.0:
         raise ValueError("stress law must satisfy sigma' > 0")
 
@@ -387,7 +407,8 @@ def _make_elastodynamics(params):
         entropies=(energy,) + _trivial_pairs_system(f, 2),
         viscosity=lambda u: np.eye(2),
         state_region=((-np.inf, np.inf), (-np.inf, np.inf)),
-        params={"sigma": sigma, "sigma_prime": sigma_p, "sigma_energy": sigma_int},
+        params={"sigma": sigma, "sigma_prime": sigma_p, "sigma_energy": sigma_int,
+                "sqrt_sigma_prime_integral": sqrt_sp, "sigma_excess": excess},
         max_char_speed=lambda u: np.sqrt(sigma_p(np.asarray(u, dtype=float)[..., 0])),
     )
 

@@ -269,6 +269,46 @@ def test_admissible_bad_input_exit_2(params, tmp_path):
         assert json.load(fh)["error"] == "schema"
 
 
+@pytest.mark.parametrize("task, params", [
+    ("layer", {"mode": "profile", "regularization": "viscous", "v_inf": -2.0}),
+    ("layer", {"u_B": 1.0}),
+    ("layer", {"regularization": {"type": "lf", "lam": 0.1, "q": 0.5},
+               "u_B": float("nan"), "v_inf": -2.0}),
+    ("layer", {"u_B": 1.0, "v_inf": "abc"}),
+    ("layer", {"u_B": [1.0, float("inf")], "v_inf": [0.5, 0.5]}),
+    ("layer", {"u_B": [], "v_inf": -2.0}),
+    ("admissible", {"u_B": 1.0, "grid": [-3.0, 3.0, 5], "samples": "x"}),
+    ("admissible", {"u_B": 1.0, "grid": [-3.0, 3.0, 5], "samples": 0}),
+    ("admissible", {"u_B": 1.0, "grid": [-3.0, 3.0, 5], "samples": 2.5}),
+    ("admissible", {"u_B": 1.0, "grid": [-3.0, 3.0, 5], "samples": 10 ** 400}),
+], ids=["layer-u_B-missing", "layer-v_inf-missing", "layer-u_B-nan-lf", "layer-v_inf-str",
+        "layer-u_B-inf-in-list", "layer-u_B-empty-list", "samples-str", "samples-0",
+        "samples-float", "samples-huge"])
+def test_bad_layer_and_audit_input_exit_2(task, params, tmp_path, capsys):
+    cfg = {"task": task, "model": {"name": "burgers"}, "params": params}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([task, "--config", str(path), "--out", str(out)]) == 2
+    assert os.listdir(out) == ["error.json"]
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["error"] == "schema"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_lagrangian_zero_volume_start_exit_3(tmp_path, capsys):
+    cfg = {"task": "layer", "model": {"name": "lagrangian_gas"},
+           "params": {"mode": "lagrangian", "lam": 0.5, "limit": [2.0, 0.0],
+                      "start": [0.0, 0.0], "steps": 3}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["layer", "--config", str(path), "--out", str(out)]) == 3
+    with open(out / "error.json") as fh:
+        assert "specific volume" in json.load(fh)["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 

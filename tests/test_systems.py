@@ -248,3 +248,80 @@ def test_euler_region_sign_consistency(u, rho):
         assert u - c > -tol
     elif region == "III":
         assert u - c < tol and u + c > -tol
+
+
+# Closed-form p-system integrals ----------------------------------------------
+
+ELASTO = make_model("elastodynamics")
+# The default stress law passed in by hand: no closed forms, so every
+# p-system integral of this model goes through quadrature.
+ELASTO_QUAD = make_model("elastodynamics", sigma=ELASTO.params["sigma"],
+                         sigma_prime=ELASTO.params["sigma_prime"])
+
+
+def _strain_pairs(n=600, seed=11):
+    """Random pairs on [-3, 3]; in a third of them the two states lie
+    between 1e-12 and 1e-8 apart."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-3.0, 3.0, n)
+    b = rng.uniform(-3.0, 3.0, n)
+    k = n // 3
+    b[:k] = a[:k] + rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-12.0, -8.0, k)
+    return a, b
+
+
+def test_closed_forms_only_for_the_default_stress():
+    assert ELASTO.params["sqrt_sigma_prime_integral"] is not None
+    assert ELASTO.params["sigma_excess"] is not None
+    assert ELASTO_QUAD.params["sqrt_sigma_prime_integral"] is None
+    assert ELASTO_QUAD.params["sigma_excess"] is None
+
+
+def test_rarefaction_integral_closed_form_matches_quad():
+    from quarterplane.riemann import _sqrt_sigma_p_integral
+
+    for v0, v1 in zip(*_strain_pairs()):
+        closed = _sqrt_sigma_p_integral(ELASTO, v0, v1)
+        assert abs(closed - _sqrt_sigma_p_integral(ELASTO_QUAD, v0, v1)) <= 1e-9
+        assert closed == pytest.approx(-_sqrt_sigma_p_integral(ELASTO, v1, v0), abs=1e-15)
+
+
+def test_elasto_curve_closed_form_matches_quad():
+    from quarterplane.layers import elasto_layer_curve
+
+    v_inf, v_B = _strain_pairs()
+    for i in range(0, v_B.size, 10):
+        base = (v_B[i], 0.5)
+        vs = v_inf[i:i + 10] - v_B[i:i + 10] + v_B[i]  # keep each pair's offset
+        closed = elasto_layer_curve(ELASTO, base, vs).points
+        quad = elasto_layer_curve(ELASTO_QUAD, base, vs).points
+        np.testing.assert_array_equal(closed[:, 0], quad[:, 0])
+        assert np.max(np.abs(closed[:, 1] - quad[:, 1])) <= 1e-13
+
+
+def test_custom_stress_takes_the_quad_fallback():
+    from quarterplane.layers import elasto_layer_curve
+    from quarterplane.riemann import _phi1, _phi2, psystem_riemann_trace
+
+    m = make_model("elastodynamics", sigma=lambda v: 2.0 * v + v ** 3,
+                   sigma_prime=lambda v: 2.0 + 3.0 * v * v)
+    assert m.params["sqrt_sigma_prime_integral"] is None and m.params["sigma_excess"] is None
+    rng = np.random.default_rng(3)
+    kinds = set()
+    for _ in range(25):
+        left = np.array([rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0)])
+        right = np.array([rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0)])
+        fan = psystem_riemann_trace(m, left, right)
+        mid = fan.trace_at_zero_plus
+        res = _phi1(m, mid[0], left) - _phi2(m, mid[0], right)
+        assert abs(res) <= 1e-10 * (1.0 + np.abs(mid).max())
+        kinds.update(w.kind for w in fan.waves)
+    assert kinds == {"shock", "rarefaction"}
+    # integral of sigma(v_i + t) - sigma(v_i) over t in [0, d], in closed form
+    v_B, u_B = 1.0, 0.2
+    vs = np.array([0.2, 0.9, 1.0 - 1e-9, 1.0 + 1e-9, 1.4, 2.6])
+    d = v_B - vs
+    excess = d * d * (1.0 + 1.5 * vs * vs) + vs * d ** 3 + d ** 4 / 4.0
+    want = u_B + np.sign(vs - v_B) * np.sqrt(2.0 * excess)
+    got = elasto_layer_curve(m, (v_B, u_B), vs).points[:, 1]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
