@@ -64,16 +64,6 @@ def _finite_number(x) -> bool:
     return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
-def _number(section, key, ctx, integer=False):
-    """section[key] if it is a finite positive number (a positive integer
-    if ``integer``); a SchemaError if it is missing or anything else."""
-    val = section.get(key)
-    if not (_finite_number(val) and val > 0) or (integer and type(val) is not int):
-        kind = "integer" if integer else "number"
-        raise SchemaError(f"{ctx}: {key} must be a finite positive {kind}, got {val!r}")
-    return val
-
-
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
@@ -197,6 +187,16 @@ def _atomic_write(path: str, text: str) -> None:
 def _build_model(cfg):
     m = cfg["model"]
     return make_model(m["name"], **m.get("params", {}))
+
+
+def _number(section, key, ctx, integer=False):
+    """section[key] if it is a finite positive number (a positive integer
+    if ``integer``); a SchemaError if it is missing or anything else."""
+    val = section.get(key)
+    if not (_finite_number(val) and val > 0) or (integer and type(val) is not int):
+        kind = "integer" if integer else "number"
+        raise SchemaError(f"{ctx}: {key} must be a finite positive {kind}, got {val!r}")
+    return val
 
 
 def _run_scheme(model, cfg, override=None):

@@ -375,11 +375,11 @@ def _make_elastodynamics(params):
     sigma = params.get("sigma", _default_stress)
     sigma_p = params.get("sigma_prime", _default_stress_prime)
     sigma_int = params.get("sigma_energy", _default_stress_energy)
-    # closed forms of the default stress; a user-supplied law without them
-    # gets None, and its integrals fall back to quadrature
+    # closed forms of the default stress; a user-supplied law gets None, and
+    # its integrals fall back to quadrature
     custom = "sigma" in params or "sigma_prime" in params
-    sqrt_sp = params.get("sqrt_sigma_prime_integral", None if custom else _default_sqrt_stress_prime_integral)
-    excess = params.get("sigma_excess", None if custom else _default_stress_excess)
+    sqrt_sp = None if custom else _default_sqrt_stress_prime_integral
+    excess = None if custom else _default_stress_excess
     if sigma_p(1.0) <= 0.0 or sigma_p(-1.0) <= 0.0:
         raise ValueError("stress law must satisfy sigma' > 0")
 

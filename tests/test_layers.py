@@ -237,6 +237,17 @@ def test_lagrangian_guards():
         lagrangian_layer_iterate(0.2, (-1.0, 0.0), (1.0, 0.0))
 
 
+def test_lagrangian_roots_share_the_step_guards():
+    # the CLI takes the roots and then the step of the same state, so each
+    # bad state fails with the same ValueError in both
+    for state, limit in (((1.0, 0.0), (0.1, 0.0)),    # w_inf <= 1
+                         ((0.0, 0.0), (1.0, 0.0)),    # no volume
+                         ((1.0, 2.6), (1.0, 0.0))):   # N = 0, complex roots
+        for fn in (lagrangian_quadratic_roots, lagrangian_layer_iterate):
+            with pytest.raises(ValueError):
+                fn(0.2, state, limit)
+
+
 def test_lagrangian_saddle_dynamics():
     # The fixed point is a saddle (a1 < 1 < a2): starts along the stable
     # eigendirection contract, generic starts blow up.
