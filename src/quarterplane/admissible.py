@@ -1,24 +1,25 @@
 """Sets of admissible boundary values and their membership checks.
 
-Four characterizations are implemented and cross-validated: closed-form case
-tables (convex and cubic scalar fluxes), pointwise inequality checks (the
-sign-condition test and entropy-pair tests), scheme-level entropy checks with
-numerical entropy fluxes, and the Riemann-trace set {R(u_B, w)}.
+Four characterizations are implemented and cross-validated: closed-form sets
+from the flux geometry (critical points and level roots), pointwise inequality
+checks (the sign-condition test and entropy-pair tests), scheme-level entropy
+checks with numerical entropy fluxes, and the Riemann-trace set {R(u_B, w)}.
 
 Sign convention: the pointwise condition is implemented as
 (sgn(u_0 - k) - sgn(u_B - k)) (f(u_0) - f(k)) <= 0 for all k; only this sign
-reproduces the closed-form case tables, so the opposite printed inequality is
+reproduces the closed-form sets, so the opposite printed inequality is
 treated as a typo (see the design notes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from quarterplane.layers import elasto_layer_curve, viscous_member_scalar
-from quarterplane.riemann import conjugate_state, cubic_companions, godunov_trace_scalar
+from quarterplane.riemann import godunov_trace_scalar
 from quarterplane.schemes import numerical_flux
 from quarterplane.systems import SystemModel, UnsupportedModelError, kruzkov_pair
 
@@ -50,6 +51,8 @@ class ScalarSet:
 
     def __post_init__(self):
         ivs = sorted(self.intervals)
+        if not all(lo <= hi for lo, hi, *_ in ivs):  # false at a NaN end too
+            raise ValueError(f"interval ends out of order: {ivs}")
         for (a, b, *_), (c, d, *_) in zip(ivs, ivs[1:]):
             if c < b:
                 raise ValueError("intervals overlap")
@@ -195,79 +198,72 @@ def scheme_entropy_check(model: SystemModel, scheme, u_0: float, u_B: float,
     return -res.fun >= -TOL_SAMPLED
 
 
-# --- Closed-form case tables -------------------------------------------------
+# --- Sets from flux geometry -------------------------------------------------
+
+
+def _trace_marks(model: SystemModel, u_B: float):
+    """(xs, member, tie) over xs = [gap sample, mark, ..., mark, gap sample].
+
+    By Osher's formula v < u_B is a trace iff f(v) >= max f on [v, u_B], and
+    v > u_B iff f(v) <= min f on [u_B, v] (Dubois-LeFloch 1988).  The marks
+    are u_B, the critical points and the level roots of both, so f is
+    monotone on each gap and one sample decides it.  A member v != u_B is a
+    tie, reached by no layer, if it is a level root of u_B or of a critical
+    point between u_B and v: read off where the mark came from."""
+    if model.dimension != 1 or model.level_roots is None:
+        raise UnsupportedModelError("closed-form sets need a scalar flux with level roots")
+    u_B = float(u_B)
+    if not abs(u_B) < np.inf:
+        raise ValueError(f"u_B must be finite, got {u_B!r}")
+    crit = [float(c) for c in model.critical_points]
+    # mark -> the states it is a level root of (u_B = c keeps c's signed zero)
+    levels = dict.fromkeys(crit + [u_B], ())
+    for state in [u_B] + crit:
+        for r in map(float, model.level_roots(state)):
+            levels[r] = levels.get(r, ()) + (state,)
+    marks = sorted(levels)
+    xs = [marks[0] - 1.0 - abs(marks[0])]
+    for a, b in zip(marks, marks[1:]):
+        xs += [a, 0.5 * a + 0.5 * b]
+    xs += [marks[-1], marks[-1] + 1.0 + abs(marks[-1])]
+    fx = np.asarray(model.flux(np.array(xs))).tolist()
+    i_B = 2 * marks.index(u_B) + 1
+    member = [False] * len(xs)
+    for stop, sign in ((-1, 1.0), (len(xs), -1.0)):  # running max of f leftward, of -f rightward
+        run = sign * fx[i_B]
+        for i in range(i_B, stop, -1 if stop < 0 else 1):
+            if sign * fx[i] >= run:
+                member[i], run = True, sign * fx[i]
+    tie = [False] * len(xs)
+    for i, v in zip(range(1, len(xs), 2), xs[1::2]):
+        member[i] = member[i - 1] or member[i] or member[i + 1]  # the set is closed
+        tie[i] = member[i] and any(min(u_B, v) <= s <= max(u_B, v) for s in levels[v])
+    return xs, member, tie
+
+
+def _scalar_set(xs, keep) -> ScalarSet:
+    """Runs of kept items as intervals, closed at kept end marks; lone kept marks as points."""
+    ends = [-np.inf] + xs + [np.inf]  # item k lies between ends[k] and ends[k + 2]
+    intervals, points = [], []
+    for kept, run in groupby(range(len(xs)), keep.__getitem__):
+        run = list(run)
+        i, j = run[0], run[-1]
+        if kept and i == j and i % 2:
+            points.append(xs[i])
+        elif kept:
+            intervals.append((ends[i + i % 2], ends[j + 2 - j % 2], i % 2 == 1, j % 2 == 1))
+    return ScalarSet(tuple(intervals), tuple(points))
 
 
 def riemann_set_scalar(model: SystemModel, u_B: float) -> ScalarSet:
-    """The set of boundary traces of Riemann solutions with left state u_B."""
-    u_B = float(u_B)
-    if model.flux_convex:
-        u_star = model.critical_points[0]
-        if u_B > u_star:
-            u_conj = conjugate_state(model, u_B)
-            return ScalarSet(((-np.inf, u_conj, False, True),), (u_B,))
-        return ScalarSet(((-np.inf, u_star, False, True),))
-    if model.name != "cubic":
-        raise UnsupportedModelError("closed-form sets exist for convex fluxes and the cubic model")
-    if u_B < -2.0:
-        return ScalarSet((), (u_B,))
-    if u_B == -2.0:
-        return ScalarSet((), (-2.0, 1.0))
-    if u_B < -1.0:
-        u_s = min(cubic_companions(model, u_B))
-        return ScalarSet(((u_s, 1.0, True, True),), (u_B,))
-    if u_B <= 1.0:
-        return ScalarSet(((-1.0, 1.0, True, True),))
-    if u_B < 2.0:
-        u_l = max(cubic_companions(model, u_B))
-        return ScalarSet(((-1.0, u_l, True, True),), (u_B,))
-    if u_B == 2.0:
-        return ScalarSet((), (-1.0, 2.0))
-    return ScalarSet((), (u_B,))
+    """The set {R(u_B, w)} of boundary Riemann traces with left state u_B."""
+    return _scalar_set(*_trace_marks(model, u_B)[:2])
 
 
 def exclusion_set(model: SystemModel, u_B: float) -> tuple:
-    """Points of the Riemann set that admit no boundary layer (the excluded
-    set is empty or a single state)."""
-    u_B = float(u_B)
-    if model.flux_convex:
-        u_star = model.critical_points[0]
-        if u_B == u_star:
-            return ()
-        conj = conjugate_state(model, u_B)
-        # for u_B below the sonic point the conjugate lies outside the
-        # Riemann set, so nothing is actually removed
-        return (conj,) if riemann_set_scalar(model, u_B).member(conj) else ()
-    if model.name != "cubic":
-        raise UnsupportedModelError("closed-form sets exist for convex fluxes and the cubic model")
-    if u_B == -2.0:
-        return (1.0,)
-    if u_B == 2.0:
-        return (-1.0,)
-    if -2.0 < u_B < -1.0:
-        return (min(cubic_companions(model, u_B)),)
-    if 1.0 < u_B < 2.0:
-        return (max(cubic_companions(model, u_B)),)
-    return ()
-
-
-def _remove_points(s: ScalarSet, removed) -> ScalarSet:
-    intervals = list(s.intervals)
-    points = [p for p in s.points if all(abs(p - r) > TOL_SET for r in removed)]
-    for r in removed:
-        out = []
-        for lo, hi, lo_c, hi_c in intervals:
-            if abs(r - lo) <= TOL_SET:
-                out.append((lo, hi, False, hi_c))
-            elif abs(r - hi) <= TOL_SET:
-                out.append((lo, hi, lo_c, False))
-            elif lo < r < hi:
-                out.append((lo, r, lo_c, False))
-                out.append((r, hi, False, hi_c))
-            else:
-                out.append((lo, hi, lo_c, hi_c))
-        intervals = out
-    return ScalarSet(tuple(intervals), tuple(points), s.tol)
+    """The ties: points of the Riemann set that no boundary layer reaches."""
+    xs, _, tie = _trace_marks(model, u_B)
+    return tuple(x for x, t in zip(xs, tie) if t)
 
 
 def _lf_params(regularization):
@@ -286,29 +282,26 @@ def _require_lf_cfl(model: SystemModel, lam: float, q: float, lo, hi) -> None:
     point of f inside it."""
     if model.dimension != 1:
         raise UnsupportedModelError("scalar models only")
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    where = [lo, hi] + [np.clip(c, lo, hi) for c in model.inflection_points]
-    ratio = lam / q * np.max([np.abs(np.asarray(model.dflux(x))) for x in where], axis=0)
-    bad = ~(ratio <= 1.0 + 1e-12)
-    if np.any(bad):
+    where = np.array([lo, hi] + [np.minimum(np.maximum(c, lo), hi) for c in model.inflection_points],
+                     dtype=float)  # one row per candidate point, one column per interval
+    ratio = lam / q * np.abs(model.dflux(where)).max(axis=0)
+    if not (ratio <= 1.0 + 1e-12).all():
         k = int(np.argmax(np.nan_to_num(ratio, nan=np.inf)))  # the worst interval
         raise ValueError(f"CFL hypothesis lam/q sup|f'| <= 1 violated: "
-                         f"{ratio.flat[k]:.6g} on [{lo.flat[k]:g}, {hi.flat[k]:g}]")
+                         f"{ratio.flat[k]:.6g} on [{where[0].flat[k]:g}, {where[1].flat[k]:g}]")
 
 
 def layer_set_scalar(model: SystemModel, u_B: float, regularization) -> ScalarSet:
-    """Closed-form layer-admissible set: the Riemann set minus the excluded
-    point(s).  For ("lf", lam, q) the LF and viscous sets coincide under the
-    CFL hypothesis lam/q sup|f'| <= 1 (``layer_member_oracle``); it is
-    checked on the hull of u_B, the set's finite boundary values and the
-    exclusions, and a violation raises ValueError."""
+    """Closed-form layer-admissible set: the Riemann set minus its ties.
+    For ("lf", lam, q) the LF and viscous sets coincide under the CFL
+    hypothesis lam/q sup|f'| <= 1 (``layer_member_oracle``); a violation on
+    the hull of the marks in the Riemann set raises ValueError."""
     lf = _lf_params(regularization)
-    base = riemann_set_scalar(model, u_B)
-    removed = exclusion_set(model, u_B)
+    xs, member, tie = _trace_marks(model, u_B)
     if lf is not None:
-        marks = (float(u_B),) + base.boundary_values() + tuple(removed)
-        _require_lf_cfl(model, *lf, min(marks), max(marks))
-    return _remove_points(base, removed)
+        inside = [x for x, m in zip(xs[1::2], member[1::2]) if m]
+        _require_lf_cfl(model, *lf, min(inside), max(inside))
+    return _scalar_set(xs, [m and not t for m, t in zip(member, tie)])
 
 
 def godunov_set(model: SystemModel, u_B: float, w_grid) -> np.ndarray:

@@ -75,7 +75,7 @@ def validate_config(cfg: dict) -> None:
     model = _require(cfg, "model", dict)
     _require(model, "name", str, "model")
     try:
-        make_model(model["name"], **model.get("params", {}))
+        dimension = make_model(model["name"], **model.get("params", {})).dimension
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"model: {exc}") from exc
     if task in ("simulate", "study"):
@@ -108,6 +108,13 @@ def validate_config(cfg: dict) -> None:
                 raise SchemaError("params: u_B and grid [lo, hi, n] must be finite numbers")
             if "samples" in params:
                 _number(params, "samples", "params", integer=True)
+        if task == "riemann" and params.get("mode") != "euler-regions":
+            for key in ("left", "right"):  # a number for a scalar, else a list
+                val = params.get(key)
+                state = [val] if dimension == 1 else val
+                if not (isinstance(state, list) and len(state) == dimension
+                        and all(map(_finite_number, state))):
+                    raise SchemaError(f"params: {key} is not a {dimension}-component state: {val!r}")
 
 
 def _piecewise(table, dimension):
@@ -381,7 +388,7 @@ def task_riemann(cfg, out, seed, jobs):
         result["regions"] = regions
     else:
         if model.dimension == 1:
-            fan = riemann.scalar_riemann_trace(model, float(p["left"]), float(p["right"]))
+            fan = riemann.scalar_riemann_trace(model, p["left"], p["right"])
         else:
             fan = riemann.psystem_riemann_trace(model, p["left"], p["right"])
         result.update({

@@ -147,11 +147,10 @@ def conjugate_state(model: SystemModel, u_B: float) -> float:
     """The other root of f(u) = f(u_B) for a strictly convex scalar flux."""
     if model.dimension != 1 or not model.flux_convex or model.level_roots is None:
         raise UnsupportedModelError("conjugate_state requires a strictly convex scalar flux")
-    u_B = float(u_B)
-    u_star = model.critical_points[0]
-    if abs(u_B - u_star) <= 1e-12 * (1.0 + abs(u_star)):
+    roots = model.level_roots(float(u_B))
+    if not roots:
         raise ValueError("the sonic state has no conjugate")
-    return model.level_roots(u_B)[0]
+    return roots[0]
 
 
 def cubic_companions(model: SystemModel, u_B: float):

@@ -96,7 +96,7 @@ class SystemModel:
     # Vectorized max characteristic speed, used for CFL control.
     max_char_speed: Optional[Callable] = None
     flux_convex: bool = False
-    # u -> the roots v != u of f(v) = f(u), ascending (closed-form scalars).
+    # u -> the roots v != u of f(v) = f(u), ascending; closed-form sets need it.
     level_roots: Optional[Callable] = None
 
     def in_region(self, state) -> bool:
@@ -285,7 +285,7 @@ def _make_cubic(params):
         if disc <= 1e-12:
             roots = [-0.5 * u]  # double root at |u| = 2
         else:
-            rt = np.sqrt(disc)
+            rt = math.sqrt(disc)
             roots = [0.5 * (-u - rt), 0.5 * (-u + rt)]
         return tuple(sorted(r for r in roots if abs(r - u) > 1e-9))
 

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,9 @@ from quarterplane.admissible import (
     riemann_set_scalar,
     scheme_entropy_check,
 )
-from quarterplane.layers import lf_membership_scalar_batch
-from quarterplane.systems import make_model
+from quarterplane.layers import lf_membership_scalar_batch, viscous_member_scalar
+from quarterplane.riemann import godunov_trace_scalar
+from quarterplane.systems import UnsupportedModelError, make_model
 
 BURGERS = make_model("burgers")
 CUBIC = make_model("cubic")
@@ -56,6 +60,14 @@ def test_scalar_set_invariants():
         ScalarSet(((0.0, 2.0, True, True), (1.0, 3.0, True, True)))
     with pytest.raises(ValueError):
         ScalarSet(((0.0, 2.0, True, True),), (1.0,))
+
+
+def test_scalar_set_rejects_reversed_or_nan_interval():
+    with pytest.raises(ValueError, match="out of order"):
+        ScalarSet(((-1.0, -2.0, True, True),))
+    with pytest.raises(ValueError, match="out of order"):
+        ScalarSet(((np.nan, 1.0, True, True),))
+    assert ScalarSet(((1.0, 1.0, True, True),)).member(1.0)
 
 
 # Pointwise checks ------------------------------------------------------------
@@ -317,3 +329,106 @@ def test_inclusion_audit_elasto():
 def test_inclusion_audit_empty():
     rep = inclusion_audit(BURGERS, 1.0, "viscous", n_samples=0)
     assert rep.ok and rep.n_layer_members == 0
+
+
+# Sets from flux geometry -----------------------------------------------------
+
+
+def _case_table(model, u_B):
+    """(Riemann intervals, points, exclusions) from the convex and cubic
+    case tables that the geometric construction replaced."""
+    if model.name == "burgers":
+        if u_B > 0.0:
+            return ((-np.inf, -u_B, False, True),), (u_B,), (-u_B,)
+        return ((-np.inf, 0.0, False, True),), (), ()
+    if u_B < -2.0:
+        return (), (u_B,), ()
+    if u_B == -2.0:
+        return (), (-2.0, 1.0), (1.0,)
+    if u_B < -1.0:
+        u_s = min(model.level_roots(u_B))
+        return ((u_s, 1.0, True, True),), (u_B,), (u_s,)
+    if u_B <= 1.0:
+        return ((-1.0, 1.0, True, True),), (), ()
+    if u_B < 2.0:
+        u_l = max(model.level_roots(u_B))
+        return ((-1.0, u_l, True, True),), (u_B,), (u_l,)
+    if u_B == 2.0:
+        return (), (-1.0, 2.0), (-1.0,)
+    return (), (u_B,), ()
+
+
+def _exact(intervals, points):
+    # float.hex tells the zeros apart, so the sign of the sonic 0 is checked
+    return ([(float(lo).hex(), float(hi).hex(), lc, hc) for lo, hi, lc, hc in intervals],
+            [float(p).hex() for p in points])
+
+
+def test_sets_match_case_tables():
+    for model in (BURGERS, CUBIC):
+        for u_B in list(np.linspace(-3.0, 3.0, 6001)) + [0.0, 1.0, -1.0, 2.0, -2.0]:
+            u_B = float(u_B)
+            ivs, pts, excl = _case_table(model, u_B)
+            layer_ivs = tuple((lo, hi, lc and lo not in excl, hc and hi not in excl)
+                              for lo, hi, lc, hc in ivs)
+            layer_pts = tuple(p for p in pts if p not in excl)
+            r = riemann_set_scalar(model, u_B)
+            lay = layer_set_scalar(model, u_B, "viscous")
+            tag = (model.name, u_B)
+            assert _exact(r.intervals, r.points) == _exact(ivs, pts), tag
+            assert [float(x).hex() for x in exclusion_set(model, u_B)] == \
+                [float(x).hex() for x in excl], tag
+            assert _exact(lay.intervals, lay.points) == _exact(layer_ivs, layer_pts), tag
+
+
+def _quartic_level_roots(u):
+    # f(v) - f(u) = (v - u)(v + u)(v^2 + u^2 - 2)/4
+    u = float(u)
+    roots = {-u}
+    if u * u <= 2.0 + 1e-12:  # a double root 0 at |u| = sqrt(2)
+        r = math.sqrt(max(2.0 - u * u, 0.0))
+        roots |= {-r, r}
+    return tuple(sorted(roots - {u}))
+
+
+# A flux outside the catalog: the double well f = u^4/4 - u^2/2, with two
+# local minima (f(+-1) = -1/4) and a local maximum (f(0) = 0).  Only the
+# fields that the sets, traces and scalar oracles read are replaced.
+QUARTIC = replace(
+    CUBIC, name="quartic",
+    flux=lambda u: np.asarray(u, dtype=float) ** 4 / 4.0 - np.asarray(u, dtype=float) ** 2 / 2.0,
+    dflux=lambda u: np.asarray(u, dtype=float) ** 3 - np.asarray(u, dtype=float),
+    critical_points=(-1.0, 0.0, 1.0), inflection_points=(-3.0 ** -0.5, 3.0 ** -0.5),
+    level_roots=_quartic_level_roots, entropies=())
+
+
+def test_quartic_sets_agree_with_traces_and_oracles():
+    grid = np.linspace(-3.0, 3.0, 1201)
+    for u_B in (-2.0, -math.sqrt(2.0), -1.0, -0.5, 0.0, 1.2, math.sqrt(2.0), 2.0):
+        r = riemann_set_scalar(QUARTIC, u_B)
+        keep = outside_band(grid, r)
+        traces = godunov_set(QUARTIC, u_B, grid)
+        near_trace = np.array([np.any(np.abs(traces - x) <= 1e-6) for x in grid])
+        in_set = r.member_grid(grid)
+        assert np.array_equal(in_set[keep], near_trace[keep]), u_B
+        assert np.array_equal(in_set[keep], bln_check(QUARTIC, grid, u_B)[keep]), u_B
+        lay = layer_set_scalar(QUARTIC, u_B, "viscous")
+        keep = outside_band(grid, lay)
+        assert np.array_equal(lay.member_grid(grid)[keep],
+                              viscous_member_scalar(QUARTIC, u_B, grid)[keep]), u_B
+    # u_B = -2: the trace 1 is isolated, and f(1) ties with the critical
+    # value f(-1) on the way, so no layer reaches it
+    r = riemann_set_scalar(QUARTIC, -2.0)
+    assert r.intervals == ((-np.inf, -1.0, False, True),) and r.points == (1.0,)
+    assert godunov_trace_scalar(QUARTIC, -2.0, 1.0) == 1.0
+    assert exclusion_set(QUARTIC, -2.0) == (1.0,)
+    assert not layer_set_scalar(QUARTIC, -2.0, "viscous").member(1.0)
+    assert not viscous_member_scalar(QUARTIC, -2.0, 1.0)
+
+
+def test_sets_need_level_roots():
+    for model in (replace(CUBIC, level_roots=None), ELASTO):
+        with pytest.raises(UnsupportedModelError):
+            riemann_set_scalar(model, 0.5)
+        with pytest.raises(UnsupportedModelError):
+            layer_set_scalar(model, 0.5, "viscous")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -267,6 +268,64 @@ def test_admissible_bad_input_exit_2(params, tmp_path):
     assert os.listdir(out) == ["error.json"]
     with open(out / "error.json") as fh:
         assert json.load(fh)["error"] == "schema"
+
+
+def _admissible(tmp_path, name, u_B):
+    """Run ``admissible`` without the audit; (exit code, admissible.json,
+    membership.csv columns)."""
+    cfg = {"task": "admissible", "model": {"name": name},
+           "params": {"u_B": u_B, "audit": False}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = cli.main(["admissible", "--config", str(path), "--out", str(out)])
+    with open(out / "admissible.json") as fh:
+        result = json.load(fh)
+    with open(out / "membership.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    return code, result, {k: [float(r[k]) for r in rows] for k in rows[0]}
+
+
+def test_admissible_next_to_sonic_point(tmp_path):
+    code, result, _ = _admissible(tmp_path, "burgers", 1e-13)
+    assert code == 0
+    assert result["riemann_set"] == {"intervals": [[None, -1e-13, False, True]],
+                                     "points": [1e-13]}
+    assert result["exclusions"] == [-1e-13]
+
+
+def test_admissible_next_to_cubic_minimum(tmp_path):
+    # the companion of u_B next to 1 lies inside the level roots' 1e-9 guard
+    code, result, cols = _admissible(tmp_path, "cubic", 1.0000000001)
+    assert code == 0
+    ends = [v for lo, hi, *_ in result["riemann_set"]["intervals"] for v in (lo, hi)]
+    marks = [v for v in ends if v is not None] + result["riemann_set"]["points"]
+    assert all(lo <= hi for lo, hi, *_ in result["riemann_set"]["intervals"])
+    n_off = 0
+    for u0, closed, bln in zip(cols["u0"], cols["riemann_closed_form"], cols["bln"]):
+        if all(abs(u0 - m) > 2e-2 for m in marks):
+            n_off += 1
+            assert closed == bln, u0
+    assert n_off > 200
+
+
+@pytest.mark.parametrize("model, left", [
+    ("burgers", "abc"),
+    ("burgers", [1.0]),
+    ("elastodynamics", [0.1]),
+], ids=["scalar-str", "scalar-list", "2x2-short"])
+def test_riemann_bad_state_exit_2(model, left, tmp_path, capsys):
+    right = 0.5 if model == "burgers" else [0.5, 0.0]
+    cfg = {"task": "riemann", "model": {"name": model},
+           "params": {"left": left, "right": right}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["riemann", "--config", str(path), "--out", str(out)]) == 2
+    assert os.listdir(out) == ["error.json"]
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["error"] == "schema"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("task, params", [
