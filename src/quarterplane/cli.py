@@ -83,7 +83,9 @@ def validate_config(cfg: dict) -> None:
         stype = _require(scheme, "type", str, "scheme")
         if stype not in ("viscous", "lf", "split", "godunov"):
             raise SchemaError(f"scheme: unknown type {stype!r}")
-        _require(cfg, "grid", dict)
+        grid = _require(cfg, "grid", dict)
+        if "snapshots" in grid:
+            _number(grid, "snapshots", "grid", integer=True)
         _require(cfg, "data", dict)
     if task == "study":
         sweep = _require(cfg, "sweep", dict)
@@ -217,7 +219,7 @@ def _run_scheme(model, cfg, override=None):
     n_cells = _number(grid, "cells", "grid", integer=True)
     h = float(_number(grid, "x_max", "grid")) / n_cells
     common = dict(h=h, t_end=float(_number(grid, "t_end", "grid")), n_cells=n_cells,
-                  n_snapshots=int(grid.get("snapshots", 33)))
+                  n_snapshots=grid.get("snapshots", 33))
     stype = scheme["type"]
     if stype == "viscous":
         return schemes.run_viscous(model, u0, u_B, eps=float(_number(scheme, "eps", "scheme")),

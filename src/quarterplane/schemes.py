@@ -123,14 +123,17 @@ def _start(model, u0, u_B, h, n_cells, pinned):
     return xs, ub, cells, _data_speed(model, cells, ub(0.0))
 
 
-def _march(model, scheme, flux, xs, ub, cells, *, h, tau, ratio, n_steps, pinned,
+def _march(model, scheme, faces, xs, ub, cells, *, h, tau, ratio, n_steps, pinned,
            n_snapshots, store_all, implicit=None, **fields):
     """The time loop shared by all schemes: u -= ratio (g_{j+1/2} - g_{j-1/2})
-    with g = flux(ext[:-1], ext[1:]), where ext is the cells plus a copy
-    ghost on the right and, unless cell 0 is pinned, the reflecting ghost
-    2 u_B - u_0 on the left.  ``implicit(cells, u_B)``, if given, then
-    completes the step in place with u_B at the new time and returns the
-    flux it adds at the first face."""
+    with g = faces(ext), the numerical flux at the len(ext) - 1 faces between
+    neighbours of ext, the cells plus a copy ghost on the right and, unless
+    cell 0 is pinned, the reflecting ghost 2 u_B - u_0 on the left.  The
+    built-in ``faces`` evaluate f once per cell of ext and combine neighbours
+    by slicing, so each face costs one flux evaluation, not two.
+    ``implicit(cells, u_B)``, if given, then completes the step in place
+    with u_B at the new time and returns the flux it adds at the first
+    face."""
     first = 1 if pinned else 0  # cells[first:] are updated and carry the mass
     ext = np.empty((cells.shape[0] + 2 - first,) + cells.shape[1:])
     ext[1 - first:-1] = cells
@@ -151,7 +154,7 @@ def _march(model, scheme, flux, xs, ub, cells, *, h, tau, ratio, n_steps, pinned
         if not pinned:
             ext[0] = 2.0 * ub_old - cells[0]
         ext[-1] = cells[-1]
-        g = flux(ext[:-1], ext[1:])  # g[0] at the first updated cell's left face
+        g = faces(ext)  # g[0] at the first updated cell's left face
         cells[first:] -= ratio * (g[1:] - g[:-1])
         g_left = g[0]
         if implicit is not None:
@@ -177,7 +180,7 @@ def _march(model, scheme, flux, xs, ub, cells, *, h, tau, ratio, n_steps, pinned
     )
 
 
-def _run_conservative(model, scheme, flux, u0, u_B, *, h, lam, q, t_end,
+def _run_conservative(model, scheme, faces, u0, u_B, *, h, lam, q, t_end,
                       n_cells, n_snapshots, store_all, speed_bound):
     xs, ub, cells, alpha = _start(model, u0, u_B, h, n_cells, pinned=True)
     if lam * alpha > speed_bound * (1.0 + 1e-12):
@@ -185,7 +188,7 @@ def _run_conservative(model, scheme, flux, u0, u_B, *, h, lam, q, t_end,
             f"{scheme}: lam * max|char speed| = {lam * alpha:.3g} exceeds {speed_bound:.3g}")
     tau = lam * h
     n_steps = max(int(np.ceil(t_end / tau - 1e-12)), 0)
-    return _march(model, scheme, flux, xs, ub, cells, h=h, tau=tau, ratio=lam,
+    return _march(model, scheme, faces, xs, ub, cells, h=h, tau=tau, ratio=lam,
                   n_steps=n_steps, pinned=True, n_snapshots=n_snapshots,
                   store_all=store_all, lam=lam, q=q)
 
@@ -203,14 +206,28 @@ def numerical_flux(model: SystemModel, scheme, F=None, U=None):
     if scheme[0] == "lf":
         _, lam, q = scheme
         coeff = q / lam
-
-        def G(v, w):
-            return 0.5 * (np.asarray(F(v)) + np.asarray(F(w))) \
-                - coeff * (np.asarray(U(w)) - np.asarray(U(v)))
-        return G
+        return lambda v, w: _lf_flux(F(v), F(w), U(v), U(w), coeff)
     if scheme[0] == "godunov":
         return lambda v, w: np.asarray(F(godunov_trace_scalar(model, v, w)))
     raise ValueError("scheme must be ('lf', lam, q) or ('godunov',)")
+
+
+def _lf_flux(Fv, Fw, Uv, Uw, coeff):
+    """The LF-type flux (F(v) + F(w)) / 2 - coeff (U(w) - U(v)) from the
+    values of F and U at v and w: per-cell values sliced to neighbours give
+    it at every face for one evaluation of F and U per cell."""
+    return 0.5 * (np.asarray(Fv) + np.asarray(Fw)) - coeff * (np.asarray(Uw) - np.asarray(Uv))
+
+
+def _lf_faces(model, coeff):
+    def faces(ext):
+        fe = np.asarray(model.flux(ext))
+        return _lf_flux(fe[:-1], fe[1:], ext[:-1], ext[1:], coeff)
+    return faces
+
+
+def _godunov_faces(model):
+    return lambda ext: np.asarray(model.flux(godunov_trace_scalar(model, ext[:-1], ext[1:])))
 
 
 def lf_splitting(model, coeff):
@@ -246,7 +263,7 @@ def run_lf(model: SystemModel, u0, u_B, *, h, lam, q, t_end,
     if not 0.0 < q < 1.0:
         raise CFLError("q must lie in (0, 1)")
     n_cells = n_cells or 200
-    return _run_conservative(model, "lf", numerical_flux(model, ("lf", lam, q)), u0, u_B,
+    return _run_conservative(model, "lf", _lf_faces(model, q / lam), u0, u_B,
                              h=h, lam=lam, q=q, t_end=t_end, n_cells=n_cells,
                              n_snapshots=n_snapshots, store_all=store_all,
                              speed_bound=q)
@@ -264,17 +281,21 @@ def run_split(model: SystemModel, u0, u_B, *, h, lam, q=None, t_end,
     if splitting is None:
         if q is None or not 0.0 < q < 1.0:
             raise CFLError("q must lie in (0, 1)")
-        f_minus, f_plus = lf_splitting(model, q / lam)
+        coeff = q / lam
         speed_bound = q
+
+        def faces(ext):  # lf_splitting's f^-(w) + f^+(v), one flux call
+            half = 0.5 * np.asarray(model.flux(ext))
+            return (half[1:] - coeff * ext[1:]) + (half[:-1] + coeff * ext[:-1])
     else:
         f_minus, f_plus = splitting
         _check_splitting(model, f_minus, f_plus)
         speed_bound = 1.0
 
-    def g(v, w):
-        return np.asarray(f_minus(w)) + np.asarray(f_plus(v))
+        def faces(ext):
+            return np.asarray(f_minus(ext[1:])) + np.asarray(f_plus(ext[:-1]))
 
-    return _run_conservative(model, "split", g, u0, u_B,
+    return _run_conservative(model, "split", faces, u0, u_B,
                              h=h, lam=lam, q=q, t_end=t_end, n_cells=n_cells,
                              n_snapshots=n_snapshots, store_all=store_all,
                              speed_bound=speed_bound)
@@ -285,7 +306,7 @@ def run_godunov(model: SystemModel, u0, u_B, *, h, lam, t_end,
     if model.dimension != 1:
         raise UnsupportedModelError("run_godunov supports scalar models")
     n_cells = n_cells or 200
-    return _run_conservative(model, "godunov", numerical_flux(model, ("godunov",)), u0, u_B,
+    return _run_conservative(model, "godunov", _godunov_faces(model), u0, u_B,
                              h=h, lam=lam, q=None, t_end=t_end, n_cells=n_cells,
                              n_snapshots=n_snapshots, store_all=store_all,
                              speed_bound=1.0)
@@ -370,13 +391,24 @@ def run_viscous(model: SystemModel, u0, u_B, *, h, eps, t_end,
     n_steps = max(int(np.ceil(t_end / tau - 1e-12)), 1)
     tau = t_end / n_steps
 
-    def central(v, w):
-        return 0.5 * (np.asarray(model.flux(v)) + np.asarray(model.flux(w)))
+    def central(ext):
+        fe = np.asarray(model.flux(ext))
+        return 0.5 * (fe[:-1] + fe[1:])
 
     return _march(model, "viscous", central, xs, ub, cells, h=h, tau=tau, ratio=tau / h,
                   n_steps=n_steps, pinned=False, n_snapshots=n_snapshots,
                   store_all=store_all, lam=None, q=None, eps=eps,
                   implicit=_implicit_diffusion(b, eps, tau, h, cells.shape[0]))
+
+
+# Time levels per block of discrete_entropy_residual: about 2^15 values
+# (256 KiB of float64) per temporary, 32 levels of 1,000 scalar cells.
+_BLOCK_VALUES = 1 << 15
+
+
+def _right(a):
+    """The right neighbour of each cell (cells on axis 1), the last cell its own."""
+    return np.concatenate([a[:, 1:], a[:, -1:]], axis=1)
 
 
 def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
@@ -387,28 +419,40 @@ def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
     computes U(u^{n+1}) - U(u^n) + lam (G_{j+1/2} - G_{j-1/2}) on the
     interior cells j >= 1 (cell 0 is pinned, so the update identity does not
     apply there) and returns the maximum positive part.
+
+    The history is taken in blocks of consecutive time levels (about 2^15
+    values each, so the temporaries stay small): U and F are evaluated once
+    per block on the cell values, right neighbours (with the copy ghost) are
+    slices, and the Godunov trace R(u_j, u_{j+1}) is computed once per block
+    for all pairs.  The maximum is the one a loop over single steps returns,
+    bit for bit.
     """
     if sol.history is None:
         raise ValueError("run the scheme with store_all=True first")
     if sol.scheme in ("lf", "split"):
         if sol.q is None:
             raise ValueError("entropy flux is only known for the built-in splitting")
-        scheme = ("lf", sol.lam, sol.q)
-    elif sol.scheme == "godunov":
-        scheme = ("godunov",)
-    else:
+        coeff = sol.q / sol.lam
+    elif sol.scheme != "godunov":
         raise ValueError(f"no entropy flux for scheme {sol.scheme!r}")
     if pairs is None:
         pairs = model.entropies
+    hist = sol.history
+    rows = max(_BLOCK_VALUES // max(hist[0].size, 1), 1)
     worst = 0.0
-    for pair in pairs:
-        G = numerical_flux(model, scheme, pair.F, pair.U)
-        for n in range(sol.history.shape[0] - 1):
-            cur = sol.history[n]
-            nxt = sol.history[n + 1]
-            right = np.concatenate([cur[1:], cur[-1:]], axis=0)
-            g = G(cur, right)
-            res = (np.asarray(pair.U(nxt[1:])) - np.asarray(pair.U(cur[1:]))
-                   + sol.lam * (g[1:] - g[:-1]))
-            worst = max(worst, float(np.max(res)))
+    for start in range(0, hist.shape[0] - 1, rows):
+        levels = hist[start:start + rows + 1]
+        cur = levels[:-1]
+        if sol.scheme == "godunov":
+            trace = godunov_trace_scalar(model, cur, _right(cur))
+        for pair in pairs:
+            u = np.asarray(pair.U(levels))
+            if sol.scheme == "godunov":
+                g = np.asarray(pair.F(trace))
+            else:
+                f = np.asarray(pair.F(cur))
+                g = _lf_flux(f, _right(f), u[:-1], _right(u[:-1]), coeff)
+            res = (u[1:, 1:] - u[:-1, 1:]) + sol.lam * (g[:, 1:] - g[:, :-1])
+            # a fold over the rows' maxima, as over single steps (NaN rows skipped)
+            worst = max(worst, *np.max(res, axis=1).tolist())
     return worst

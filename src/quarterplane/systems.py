@@ -249,7 +249,7 @@ def _make_burgers(params):
         entropies=(quad,) + _trivial_pairs_scalar(f),
         viscosity=lambda u: np.eye(1),
         state_region=((-np.inf, np.inf),),
-        params=dict(params), dflux=df, critical_points=(0.0,),
+        dflux=df, critical_points=(0.0,),
         max_char_speed=lambda u: np.abs(np.asarray(u, dtype=float)),
         flux_convex=True,
         level_roots=lambda u: (-float(u),) if u != 0.0 else (),
@@ -295,7 +295,7 @@ def _make_cubic(params):
         entropies=(quad,) + _trivial_pairs_scalar(f),
         viscosity=lambda u: np.eye(1),
         state_region=((-np.inf, np.inf),),
-        params=dict(params), dflux=df, critical_points=(-1.0, 1.0),
+        dflux=df, critical_points=(-1.0, 1.0),
         inflection_points=(0.0,),
         max_char_speed=lambda u: np.abs(df(u)),
         flux_convex=False, level_roots=level_roots,
@@ -492,27 +492,32 @@ def _make_lagrangian(params):
         entropies=(energy,) + _trivial_pairs_system(f, 2),
         viscosity=lambda u: np.eye(2),
         state_region=((0.0, np.inf), (-np.inf, np.inf)),
-        params=dict(params),
         max_char_speed=lambda u: 1.0 / np.asarray(u, dtype=float)[..., 0],
     )
 
 
+# name -> (factory, the parameter keys it reads)
 _FACTORIES = {
-    "burgers": _make_burgers,
-    "cubic": _make_cubic,
-    "linear2": _make_linear2,
-    "elastodynamics": _make_elastodynamics,
-    "euler_isentropic": _make_euler,
-    "lagrangian_gas": _make_lagrangian,
+    "burgers": (_make_burgers, ()),
+    "cubic": (_make_cubic, ()),
+    "linear2": (_make_linear2, ("A", "B")),
+    "elastodynamics": (_make_elastodynamics, ("sigma", "sigma_prime", "sigma_energy")),
+    "euler_isentropic": (_make_euler, ("gamma",)),
+    "lagrangian_gas": (_make_lagrangian, ()),
 }
 
 
 def make_model(name: str, **params) -> SystemModel:
-    """Build one of the built-in systems by name."""
+    """Build one of the built-in systems by name.  A parameter the model
+    does not read raises ValueError, so a misspelt one is not ignored."""
     try:
-        factory = _FACTORIES[name]
+        factory, keys = _FACTORIES[name]
     except KeyError:
         raise ValueError("unknown model %r; choose from %s" % (name, sorted(_FACTORIES)))
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError("%s: unknown parameter(s) %s; it reads %s"
+                         % (name, ", ".join(unknown), list(keys) or "none"))
     return factory(params)
 
 

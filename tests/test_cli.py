@@ -355,6 +355,46 @@ def test_bad_layer_and_audit_input_exit_2(task, params, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snapshots", ["abc", 0, 2.5, True, None],
+                         ids=["str", "zero", "float", "bool", "null"])
+def test_bad_snapshots_exit_2(snapshots, tmp_path, capsys):
+    cfg = {
+        "task": "simulate",
+        "model": {"name": "burgers"},
+        "scheme": {"type": "lf", "lam": 0.2, "q": 0.5},
+        "grid": {"x_max": 1.0, "cells": 50, "t_end": 0.2, "snapshots": snapshots},
+        "data": {"u_I": -0.5, "u_B": 1.0},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert os.listdir(out) == ["error.json"]
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["error"] == "schema"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("example, params", [
+    ("euler_regions.json", {"gama": 1.4}),
+    ("euler_regions.json", {"gamma": 2.0, "cv": 1.0}),
+    ("thm41_burgers.json", {"gamma": 2.0}),
+], ids=["euler-gama", "euler-extra", "burgers-gamma"])
+def test_unknown_model_parameter_exit_2(example, params, tmp_path, capsys):
+    with open(os.path.join(os.path.dirname(cli.__file__), "configs", example)) as fh:
+        cfg = json.load(fh)
+    cfg["model"]["params"] = params
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([cfg["task"], "--config", str(path), "--out", str(out)]) == 2
+    assert os.listdir(out) == ["error.json"]
+    with open(out / "error.json") as fh:
+        rep = json.load(fh)
+    assert rep["error"] == "schema" and "unknown parameter" in rep["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_lagrangian_zero_volume_start_exit_3(tmp_path, capsys):
     cfg = {"task": "layer", "model": {"name": "lagrangian_gas"},
            "params": {"mode": "lagrangian", "lam": 0.5, "limit": [2.0, 0.0],

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from quarterplane import schemes
 from quarterplane.layers import discrete_layer_membership
+from quarterplane.riemann import godunov_trace_scalar
 from quarterplane.schemes import (
     CFLError,
     discrete_entropy_residual,
@@ -12,7 +14,7 @@ from quarterplane.schemes import (
     run_split,
     run_viscous,
 )
-from quarterplane.systems import make_model
+from quarterplane.systems import kruzkov_pair, make_model
 
 BURGERS = make_model("burgers")
 CUBIC = make_model("cubic")
@@ -122,6 +124,96 @@ def test_entropy_residual_system():
     sol = run_lf(ELASTO, u0, np.array([0.0, 0.0]), h=0.02, lam=0.2, q=0.5,
                  t_end=0.3, n_cells=50, store_all=True)
     assert discrete_entropy_residual(ELASTO, sol) <= 1e-12
+
+
+def _residual_per_step(model, sol, pairs=None):
+    """The cell entropy residual as one loop over single steps per pair."""
+    worst = 0.0
+    for pair in model.entropies if pairs is None else pairs:
+        F, U = pair.F, pair.U
+        if sol.scheme == "godunov":
+            def G(v, w):
+                return np.asarray(F(godunov_trace_scalar(model, v, w)))
+        else:
+            def G(v, w, coeff=sol.q / sol.lam):
+                return 0.5 * (np.asarray(F(v)) + np.asarray(F(w))) \
+                    - coeff * (np.asarray(U(w)) - np.asarray(U(v)))
+        for n in range(sol.history.shape[0] - 1):
+            cur = sol.history[n]
+            nxt = sol.history[n + 1]
+            right = np.concatenate([cur[1:], cur[-1:]], axis=0)
+            g = G(cur, right)
+            res = (np.asarray(U(nxt[1:])) - np.asarray(U(cur[1:]))
+                   + sol.lam * (g[1:] - g[:-1]))
+            worst = max(worst, float(np.max(res)))
+    return worst
+
+
+def _assert_residual_as_per_step(model, sol, pairs=None, edges=()):
+    """The block-wise residual equals the per-step loop's, also with one
+    level raised so that the maximum sits at step k, for each k in edges."""
+    got = discrete_entropy_residual(model, sol, pairs)
+    assert got == _residual_per_step(model, sol, pairs), (sol.scheme, sol.history.shape)
+    for k in edges:
+        history = sol.history.copy()
+        history[k + 1, 7] += 1e-3
+        raised = dataclasses.replace(sol, history=history)
+        worst = discrete_entropy_residual(model, raised, pairs)
+        assert worst > 1e-6 and worst == _residual_per_step(model, raised, pairs), (sol.scheme, k)
+    return got
+
+
+def test_blockwise_residual_equals_per_step_loop():
+    rng = np.random.default_rng(12)
+    scalar_cells = 2048
+    rows = schemes._BLOCK_VALUES // scalar_cells  # steps per block
+    assert rows > 2
+    found = []
+    longest = 2 * rows + 3
+    for n_steps in (1, rows - 1, rows, rows + 1, longest):
+        # in the longest history, a raised level at each block edge
+        edges = (0, rows - 1, rows, rows + 1, n_steps - 1) if n_steps == longest else ()
+        for model in (BURGERS, CUBIC):
+            u0 = rng.uniform(-1.2, 1.2, scalar_cells)
+            u_B = float(rng.uniform(-1.2, 1.2))
+            kw = dict(h=0.01, t_end=n_steps * 0.25 * 0.01, n_cells=scalar_cells, store_all=True)
+            sols = [run_lf(model, u0, u_B, lam=0.25, q=0.5, **kw),
+                    run_split(model, u0, u_B, lam=0.25, q=0.5, **kw),
+                    run_godunov(model, u0, u_B, lam=0.25, **kw)]
+            kruzkov = [kruzkov_pair(model, k) for k in (-0.7, 0.0, 0.4)]
+            for sol in sols:
+                assert sol.history.shape[0] == n_steps + 1
+                found.append(_assert_residual_as_per_step(model, sol, None, edges))
+                if n_steps in (1, longest):
+                    found.append(_assert_residual_as_per_step(model, sol, kruzkov))
+        u0 = rng.uniform(-0.3, 0.3, (scalar_cells // 2, 2))
+        sol = run_lf(ELASTO, u0, np.array([0.1, -0.1]), h=0.01, lam=0.2, q=0.5,
+                     t_end=n_steps * 0.2 * 0.01, n_cells=scalar_cells // 2, store_all=True)
+        assert sol.history.shape[0] == n_steps + 1
+        found.append(_assert_residual_as_per_step(ELASTO, sol, None, edges))
+    assert max(found) > 0.0  # not only zeros compared
+
+
+@pytest.mark.parametrize("scheme", ["lf", "split", "godunov", "viscous"])
+def test_step_count_matches_times(scheme):
+    calls = []
+
+    def u_B(t):  # the time loop asks for u_B(n tau) once per step n >= 1
+        calls.append(t)
+        return 0.5
+
+    kw = dict(h=0.02, t_end=0.37, n_cells=40, store_all=True)
+    if scheme == "viscous":
+        sol = run_viscous(BURGERS, -0.3, u_B, eps=0.05, **kw)
+    elif scheme == "godunov":
+        sol = run_godunov(BURGERS, -0.3, u_B, lam=0.3, **kw)
+    else:
+        runner = run_lf if scheme == "lf" else run_split
+        sol = runner(BURGERS, -0.3, u_B, lam=0.3, q=0.5, **kw)
+    steps = round(sol.times[-1] / sol.tau)
+    assert steps > 1
+    assert [t for t in calls if t > 0.0] == [n * sol.tau for n in range(1, steps + 1)]
+    assert sol.history.shape[0] - 1 == steps
 
 
 def test_pinned_boundary_cell():

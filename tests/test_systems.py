@@ -79,6 +79,19 @@ def test_bad_params_rejected():
         make_model("linear2", B=[1.0, -1.0])
 
 
+@pytest.mark.parametrize("name, params", [
+    ("euler_isentropic", {"gama": 1.4}),
+    ("burgers", {"gamma": 2.0}),
+    ("cubic", {"a": 1.0}),
+    ("linear2", {"b": [1.0, 1.0]}),
+    ("elastodynamics", {"sigma_excess": 1.0}),
+    ("lagrangian_gas", {"gamma": 1.4}),
+])
+def test_unknown_params_rejected(name, params):
+    with pytest.raises(ValueError, match="unknown parameter"):
+        make_model(name, **params)
+
+
 # Eigenstructure --------------------------------------------------------------
 
 
