@@ -235,9 +235,13 @@ def _make_burgers(params):
     def df(u):
         return np.asarray(u, dtype=float) + 0.0
 
+    def entropy_flux(u):
+        u = np.asarray(u, dtype=float)
+        return u * u * u / 3.0
+
     quad = EntropyPair(
         U=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
-        F=lambda u: np.asarray(u, dtype=float) ** 3 / 3.0,
+        F=entropy_flux,
         grad_U=lambda u: np.asarray(u, dtype=float) + 0.0,
         hess_U=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         convexity="strictly-convex",
@@ -259,16 +263,21 @@ def _make_burgers(params):
 def _make_cubic(params):
     def f(u):
         u = np.asarray(u, dtype=float)
-        return 0.5 * (u ** 3 - 3.0 * u)
+        return 0.5 * (u * u * u - 3.0 * u)
 
     def df(u):
         u = np.asarray(u, dtype=float)
         return 1.5 * u * u - 1.5
 
+    def entropy_flux(u):
+        # F' = u f'(u) = (3u^3 - 3u)/2  ->  F = 3u^4/8 - 3u^2/4
+        u = np.asarray(u, dtype=float)
+        u2 = u * u
+        return 0.375 * u2 * u2 - 0.75 * u2
+
     quad = EntropyPair(
         U=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
-        # F' = u f'(u) = (3u^3 - 3u)/2  ->  F = 3u^4/8 - 3u^2/4
-        F=lambda u: 0.375 * np.asarray(u, dtype=float) ** 4 - 0.75 * np.asarray(u, dtype=float) ** 2,
+        F=entropy_flux,
         grad_U=lambda u: np.asarray(u, dtype=float) + 0.0,
         hess_U=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         convexity="strictly-convex",
@@ -343,7 +352,7 @@ def _make_linear2(params):
 
 def _default_stress(v):
     v = np.asarray(v, dtype=float)
-    return v + v ** 3 / 3.0
+    return v + v * v * v / 3.0
 
 
 def _default_stress_prime(v):
@@ -354,7 +363,8 @@ def _default_stress_prime(v):
 def _default_stress_energy(v):
     # integral of sigma from 0 to v
     v = np.asarray(v, dtype=float)
-    return 0.5 * v * v + v ** 4 / 12.0
+    v2 = v * v
+    return 0.5 * v2 + v2 * v2 / 12.0
 
 
 def _default_sqrt_stress_prime_integral(v0, v1):
