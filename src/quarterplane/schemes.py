@@ -219,17 +219,6 @@ def _lf_flux(Fv, Fw, Uv, Uw, coeff):
     return 0.5 * (np.asarray(Fv) + np.asarray(Fw)) - coeff * (np.asarray(Uw) - np.asarray(Uv))
 
 
-def _lf_faces(model, coeff):
-    def faces(ext):
-        fe = np.asarray(model.flux(ext))
-        return _lf_flux(fe[:-1], fe[1:], ext[:-1], ext[1:], coeff)
-    return faces
-
-
-def _godunov_faces(model):
-    return lambda ext: np.asarray(model.flux(godunov_trace_scalar(model, ext[:-1], ext[1:])))
-
-
 def lf_splitting(model, coeff):
     """The splitting f = f^- + f^+ with f^+/- = f/2 +- coeff*u, coeff = Q/lam.
 
@@ -263,7 +252,13 @@ def run_lf(model: SystemModel, u0, u_B, *, h, lam, q, t_end,
     if not 0.0 < q < 1.0:
         raise CFLError("q must lie in (0, 1)")
     n_cells = n_cells or 200
-    return _run_conservative(model, "lf", _lf_faces(model, q / lam), u0, u_B,
+    coeff = q / lam
+
+    def faces(ext):
+        fe = np.asarray(model.flux(ext))
+        return _lf_flux(fe[:-1], fe[1:], ext[:-1], ext[1:], coeff)
+
+    return _run_conservative(model, "lf", faces, u0, u_B,
                              h=h, lam=lam, q=q, t_end=t_end, n_cells=n_cells,
                              n_snapshots=n_snapshots, store_all=store_all,
                              speed_bound=q)
@@ -306,7 +301,11 @@ def run_godunov(model: SystemModel, u0, u_B, *, h, lam, t_end,
     if model.dimension != 1:
         raise UnsupportedModelError("run_godunov supports scalar models")
     n_cells = n_cells or 200
-    return _run_conservative(model, "godunov", _godunov_faces(model), u0, u_B,
+
+    def faces(ext):
+        return np.asarray(model.flux(godunov_trace_scalar(model, ext[:-1], ext[1:])))
+
+    return _run_conservative(model, "godunov", faces, u0, u_B,
                              h=h, lam=lam, q=None, t_end=t_end, n_cells=n_cells,
                              n_snapshots=n_snapshots, store_all=store_all,
                              speed_bound=1.0)
@@ -438,7 +437,7 @@ def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
     if pairs is None:
         pairs = model.entropies
     hist = sol.history
-    rows = max(_BLOCK_VALUES // max(hist[0].size, 1), 1)
+    rows = max(_BLOCK_VALUES // hist[0].size, 1)
     worst = 0.0
     for start in range(0, hist.shape[0] - 1, rows):
         levels = hist[start:start + rows + 1]
