@@ -26,6 +26,10 @@ from quarterplane.schemes import CFLError
 from quarterplane.systems import UnsupportedModelError, classify_euler_region, make_model
 
 TASKS = ("simulate", "layer", "admissible", "riemann", "study")
+# The largest layer-profile horizon.  Near a stable limit the step of the
+# explicit integrator is bounded by its stability region, so the work of a
+# viscous profile, like that of an LF one, grows in proportion to y_max.
+_MAX_LAYER_Y = 1e5
 
 
 class SchemaError(ValueError):
@@ -103,6 +107,18 @@ def validate_config(cfg: dict) -> None:
                 if val == [] or not all(map(_finite_number, val if isinstance(val, list) else [val])):
                     raise SchemaError(f"params: {key} must be a finite number or a list "
                                       f"of finite numbers, got {val!r}")
+            reg = params.get("regularization", "viscous")
+            if reg != "viscous":
+                if not (isinstance(reg, dict) and reg.get("type") == "lf"):
+                    raise SchemaError('params: regularization must be "viscous" or '
+                                      f'{{"type": "lf", "lam": ..., "q": ...}}, got {reg!r}')
+                _number(reg, "lam", "regularization")
+                _number(reg, "q", "regularization")
+            # a layer coordinate (viscous) or a step count (LF)
+            if "y_max" in params and _number(params, "y_max", "params",
+                                             integer=reg != "viscous") > _MAX_LAYER_Y:
+                raise SchemaError(f"params: y_max must be at most {_MAX_LAYER_Y:g}, "
+                                  f"got {params['y_max']!r}")
         if task == "admissible":
             grid = params.get("grid", [-3.0, 3.0, 241])
             if not (_finite_number(params.get("u_B")) and isinstance(grid, list)

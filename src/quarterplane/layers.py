@@ -22,6 +22,7 @@ an independent cross-check of that argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,47 +102,185 @@ def _monotone_tail(dists: np.ndarray) -> bool:
     return bool(np.all(np.diff(tail) <= 1e-8 * (1.0 + tail[:-1])))
 
 
-def viscous_layer_profile(model: SystemModel, u_B, v_inf, y_max: float = 200.0) -> LayerProfile:
-    """Integrate the layer ODE from u_B and report convergence to v_inf."""
-    from scipy.integrate import solve_ivp
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980) with the quartic
+# dense output and the step control of scipy's RK45 (Hairer, Norsett &
+# Wanner, Solving ODEs I, II.4-II.6).  The layer ODE is autonomous, so the
+# stage nodes c_i never enter.
+_RK_A = ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_RK_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_RK_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_RK_P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+          -12715105075 / 11282082432),
+         (0.0, 0.0, 0.0, 0.0),
+         (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+          87487479700 / 32700410799),
+         (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+          -10690763975 / 1880347072),
+         (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+          701980252875 / 199316789632),
+         (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+         (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+_RK_RTOL, _RK_ATOL = 1e-10, 1e-12
+_EPS = float(np.finfo(float).eps)
 
+
+def _error_norm(err, y, y_new):
+    """RMS norm of err / (atol + max(|y|, |y_new|) rtol).  A scalar state is
+    a float, a system state a 1-d array."""
+    if isinstance(err, float):
+        return abs(err) / (_RK_ATOL + max(abs(y), abs(y_new)) * _RK_RTOL)
+    scaled = err / (_RK_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RK_RTOL)
+    return float(np.linalg.norm(scaled)) / scaled.size ** 0.5
+
+
+def _brent(g, a, b, ga, gb):
+    """A root of g in [a, b], where ga = g(a) and gb = g(b) differ in sign
+    or vanish: Brent's method with scipy brentq's steps and its stop at
+    xtol = rtol = 4 eps."""
+    if ga == 0:
+        return a
+    if gb == 0:
+        return b
+    xpre, fpre, xcur, fcur = a, ga, b, gb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre and fcur and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 2 * _EPS * (1.0 + abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0 or abs(sbis) < delta:
+            break
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            spre, scur = (scur, stry) if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta) \
+                else (sbis, sbis)
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = g(xcur)
+    return xcur
+
+
+def _dopri45(rhs, y0, y_max, event):
+    """Integrate v' = rhs(v) from v(0) = y0 to y = y_max with the rules of
+    scipy's RK45 at rtol = 1e-10, atol = 1e-12: its initial step, error
+    norm, safety factor 0.9, step factors in [0.2, 10] (no growth right
+    after a rejection) and smallest step 10 ulp(y).  A state is a float or
+    a 1-d array.
+
+    Stops early where event(v) changes sign (or vanishes), at the root
+    Brent's method finds on the step's dense output.  Returns the accepted
+    ordinates, the states there and a status: 0 at y_max, 1 at an event,
+    -1 when the step fell below its smallest size."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _RK_A
+    b1, _, b3, b4, b5, b6 = _RK_B
+    e1, _, e3, e4, e5, e6, e7 = _RK_E
+    y, f = y0, rhs(y0)
+    # initial step (Hairer-Norsett-Wanner II.4 for an order-4 error estimate)
+    d0, d1 = _error_norm(y, y, y), _error_norm(f, y, y)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, y_max)
+    d2 = _error_norm(rhs(y + h0 * f) - f, y, y) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, y_max)
+
+    t, g = 0.0, event(y)
+    ts, states = [t], [y]
+    while t < y_max:
+        min_step = 10 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return ts, states, -1
+            t_new = min(t + h_abs, y_max)
+            h = t_new - t
+            k1 = f
+            k2 = rhs(y + h * (a21 * k1))
+            k3 = rhs(y + h * (a31 * k1 + a32 * k2))
+            k4 = rhs(y + h * (a41 * k1 + a42 * k2 + a43 * k3))
+            k5 = rhs(y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+            k6 = rhs(y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))
+            y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+            k7 = rhs(y_new)
+            err = _error_norm(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7),
+                              y, y_new)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        g_new = event(y_new)
+        if g <= 0 <= g_new or g >= 0 >= g_new:
+            ks = (k1, k2, k3, k4, k5, k6, k7)
+            q = [sum(c * k for c, k in zip(col, ks) if c) for col in zip(*_RK_P)]
+
+            def dense(s):
+                x = (s - t) / h
+                return y + h * sum(qj * x ** (j + 1) for j, qj in enumerate(q))
+
+            root = _brent(lambda s: event(dense(s)), t, t_new, g, g_new)
+            ts.append(root)
+            states.append(dense(root))
+            return ts, states, 1
+        t, y, f, g = t_new, y_new, k7, g_new
+        ts.append(t)
+        states.append(y)
+    return ts, states, 0
+
+
+def viscous_layer_profile(model: SystemModel, u_B, v_inf, y_max: float = 200.0) -> LayerProfile:
+    """Integrate the layer ODE B v' = f(v) - f(v_inf) from v(0) = u_B up to
+    y_max > 0 and report convergence to v_inf.
+
+    B must be constant and diagonal (UnsupportedModelError otherwise), as
+    it is for every built-in model.  The run stops early when the distance
+    to v_inf reaches its blow-up bound or a component comes within 1e-9 of
+    a finite lower bound of ``state_region``."""
+    if not y_max > 0:
+        raise ValueError(f"y_max must be positive, got {y_max!r}")
     n = model.dimension
     u0 = np.atleast_1d(np.asarray(u_B, dtype=float))
     vi = np.atleast_1d(np.asarray(v_inf, dtype=float))
-    f_inf = np.atleast_1d(np.asarray(model.flux(vi if n > 1 else float(vi[0]))))
+    # scalar states travel as floats, system states as 1-d arrays
+    start, limit = (float(u0[0]), float(vi[0])) if n == 1 else (u0, vi)
+    b = model.viscosity_diagonal([start, limit])
+    b = float(b[0]) if n == 1 else b
+    as_state, dist = (float, abs) if n == 1 else (np.asarray, np.linalg.norm)
+    f_inf = model.flux(limit)
     tol = tol_conv(vi)
     blow = 10.0 * (1.0 + np.linalg.norm(u0 - vi) + np.linalg.norm(vi))
+    lows = [(i, lo + 1e-9) for i, (lo, _) in enumerate(model.state_region) if np.isfinite(lo)]
 
-    def rhs(_, v):
-        fv = np.atleast_1d(np.asarray(model.flux(v if n > 1 else float(v[0]))))
-        dv = fv - f_inf
-        if n == 1:
-            b = float(np.atleast_2d(model.viscosity(float(v[0])))[0, 0])
-            return dv / b
-        return np.linalg.solve(np.asarray(model.viscosity(v), dtype=float), dv)
+    def rhs(v):
+        return as_state((model.flux(v) - f_inf) / b)
 
-    def too_far(_, v):
-        return np.linalg.norm(v - vi) - blow
+    def margin(v):  # > 0 inside the blow-up distance and above the lower bounds
+        return min([blow - dist(v - limit)] + [np.atleast_1d(v)[i] - lo for i, lo in lows])
 
-    too_far.terminal = True
-
-    events = [too_far]
-    for i, (lo, _) in enumerate(model.state_region):
-        if np.isfinite(lo):
-            def exit_lo(_, v, i=i, lo=lo):
-                return v[i] - (lo + 1e-9)
-            exit_lo.terminal = True
-            events.append(exit_lo)
-
-    sol = solve_ivp(rhs, (0.0, y_max), u0, method="RK45",
-                    rtol=1e-10, atol=1e-12, events=events, dense_output=False)
-    ys = sol.t
-    states = sol.y.T
-    dists = np.linalg.norm(states - vi, axis=1)
+    ys, states, status = _dopri45(rhs, start, float(y_max), margin)
+    speed_end = float(dist(rhs(states[-1])))
+    ys = np.asarray(ys)
+    states = np.asarray(states)
+    dists = np.linalg.norm(states.reshape(len(ys), -1) - vi, axis=1)
     d_end = float(dists[-1])
-    speed_end = float(np.linalg.norm(rhs(0.0, states[-1])))
 
-    if sol.status == 1 or (not sol.success and d_end > blow * 0.5):
+    if status == 1 or (status < 0 and d_end > blow * 0.5):
         verdict = "diverged"
     elif d_end <= tol and _monotone_tail(dists):
         verdict = "converged"
@@ -151,9 +290,6 @@ def viscous_layer_profile(model: SystemModel, u_B, v_inf, y_max: float = 200.0) 
         verdict = "horizon-reached" if d_end < blow * 0.5 else "diverged"
     else:
         verdict = "converged" if _monotone_tail(dists) else "horizon-reached"
-
-    if n == 1:
-        states = states[:, 0]
     return LayerProfile("continuous", ys, states, u0, vi, verdict, d_end)
 
 

@@ -107,6 +107,42 @@ def scalar_riemann_trace(model: SystemModel, u_left: float, u_right: float) -> R
     return RiemannFan(ul, ur, waves, trace, float(model.flux(trace)))
 
 
+def _critical_values(model):
+    """The critical points of f and the values of f there."""
+    crit = np.asarray(model.critical_points, dtype=float)
+    return crit, np.asarray(model.flux(crit), dtype=float)
+
+
+def _osher(v, w, fv, fw, crit, f_crit):
+    """Osher's formula from values of f: the trace R(v, w) and f there.
+
+    The trace is the largest minimizer of f on [v, w] when v <= w and the
+    smallest maximizer on [w, v] otherwise: of the states that attain the
+    extremum, the one closest to w.  f is monotone between its critical
+    points, so the candidates are v, w and the critical points ``crit``
+    between them, where f takes the values ``f_crit``.  Values are compared
+    exactly: a tolerance would pick the downwind state at near-ties."""
+    up = v <= w
+    f_min, f_max = np.minimum(fv, fw), np.maximum(fv, fw)
+    between = []
+    for c, f_c in zip(crit, f_crit):
+        inside = (v < c) != (w < c)
+        f_k = np.where(inside, f_c, fw)
+        f_min, f_max = np.minimum(f_min, f_k), np.maximum(f_max, f_k)
+        between.append(inside)
+    extremum = np.where(up, f_min, f_max)
+    trace = v  # then each critical point that attains it and lies closer to w
+    for c, f_c, inside in zip(crit, f_crit, between):
+        trace = np.where(inside & (f_c == extremum) & ((c > trace) == up), c, trace)
+    return np.where(fw == extremum, w, trace), extremum
+
+
+def _godunov_scalar(model, v, w):
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    return _osher(v, w, model.flux(v), model.flux(w), *_critical_values(model))
+
+
 def godunov_trace_scalar(model: SystemModel, v, w):
     """Vectorized trace of scalar Riemann problems at x/t = 0+.
 
@@ -114,28 +150,13 @@ def godunov_trace_scalar(model: SystemModel, v, w):
     it is the smallest maximizer on [w, v] (both are the 0+ limits of the
     envelope solutions).
     """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    lo = np.minimum(v, w)
-    hi = np.maximum(v, w)
-    cand = [lo, hi] + [np.clip(c, lo, hi) for c in model.critical_points]
-    cand = np.stack(np.broadcast_arrays(*cand))
-    fvals = np.asarray(model.flux(cand), dtype=float)
-    fmin = fvals.min(axis=0)
-    fmax = fvals.max(axis=0)
-    # Largest candidate attaining the min / smallest attaining the max,
-    # compared exactly: a tolerance would pick the downwind state at near-ties.
-    at_min = np.where(fvals <= fmin, cand, -np.inf)
-    at_max = np.where(fvals >= fmax, cand, np.inf)
-    trace_up = at_min.max(axis=0)
-    trace_down = at_max.min(axis=0)
-    return np.where(v <= w, trace_up, trace_down)
+    return _godunov_scalar(model, v, w)[0]
 
 
 def godunov_flux(model: SystemModel, u_left, u_right):
     """The Godunov numerical flux f(R(u_left, u_right))."""
     if model.dimension == 1:
-        return model.flux(godunov_trace_scalar(model, u_left, u_right))
+        return _godunov_scalar(model, u_left, u_right)[1][()]
     fan = psystem_riemann_trace(model, u_left, u_right)
     return fan.flux_at_zero
 

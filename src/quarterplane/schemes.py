@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from quarterplane.riemann import godunov_trace_scalar
+from quarterplane.riemann import _critical_values, _osher, godunov_trace_scalar
 from quarterplane.systems import SystemModel, UnsupportedModelError
 
 __all__ = [
@@ -302,22 +302,16 @@ def run_godunov(model: SystemModel, u0, u_B, *, h, lam, t_end,
         raise UnsupportedModelError("run_godunov supports scalar models")
     n_cells = n_cells or 200
 
+    crit, f_crit = _critical_values(model)
+
     def faces(ext):
-        return np.asarray(model.flux(godunov_trace_scalar(model, ext[:-1], ext[1:])))
+        fe = np.asarray(model.flux(ext))
+        return _osher(ext[:-1], ext[1:], fe[:-1], fe[1:], crit, f_crit)[1]
 
     return _run_conservative(model, "godunov", faces, u0, u_B,
                              h=h, lam=lam, q=None, t_end=t_end, n_cells=n_cells,
                              n_snapshots=n_snapshots, store_all=store_all,
                              speed_bound=1.0)
-
-
-def _constant_diagonal_viscosity(model, states):
-    """Diagonal of B, checked to be diagonal and equal at the given states."""
-    mats = [np.atleast_2d(np.asarray(model.viscosity(s), dtype=float)) for s in states]
-    b = mats[0]
-    if any(not np.array_equal(m, b) for m in mats[1:]) or np.any(b != np.diag(np.diag(b))):
-        raise UnsupportedModelError("run_viscous needs a constant diagonal viscosity matrix B")
-    return np.diag(b)
 
 
 def _implicit_diffusion(b, eps, tau, h, n_cells):
@@ -382,7 +376,7 @@ def run_viscous(model: SystemModel, u0, u_B, *, h, eps, t_end,
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     xs, ub, cells, alpha = _start(model, u0, u_B, h, n_cells or 200, pinned=False)
-    b = _constant_diagonal_viscosity(model, [cells[0], cells[-1], ub(0.0)])
+    b = model.viscosity_diagonal([cells[0], cells[-1], ub(0.0)])
     alpha = max(alpha, 1e-12)
     tau = cfl * min(h / alpha, 2.0 * eps * float(np.min(b)) / (alpha * alpha))
     if not tau > 0.0:  # alpha or alpha^2 is not finite
@@ -424,7 +418,8 @@ def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
     per block on the cell values, right neighbours (with the copy ghost) are
     slices, and the Godunov trace R(u_j, u_{j+1}) is computed once per block
     for all pairs.  The maximum is the one a loop over single steps returns,
-    bit for bit.
+    bit for bit.  A history with a non-finite value raises ValueError naming
+    the first such level: it has no residual to report.
     """
     if sol.history is None:
         raise ValueError("run the scheme with store_all=True first")
@@ -432,7 +427,9 @@ def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
         if sol.q is None:
             raise ValueError("entropy flux is only known for the built-in splitting")
         coeff = sol.q / sol.lam
-    elif sol.scheme != "godunov":
+    elif sol.scheme == "godunov":
+        crit, f_crit = _critical_values(model)
+    else:
         raise ValueError(f"no entropy flux for scheme {sol.scheme!r}")
     if pairs is None:
         pairs = model.entropies
@@ -441,9 +438,13 @@ def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
     worst = 0.0
     for start in range(0, hist.shape[0] - 1, rows):
         levels = hist[start:start + rows + 1]
+        finite = np.isfinite(levels.reshape(levels.shape[0], -1)).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"history level {start + int(np.argmin(finite))} is not finite")
         cur = levels[:-1]
         if sol.scheme == "godunov":
-            trace = godunov_trace_scalar(model, cur, _right(cur))
+            fc = np.asarray(model.flux(cur))
+            trace = _osher(cur, _right(cur), fc, _right(fc), crit, f_crit)[0]
         for pair in pairs:
             u = np.asarray(pair.U(levels))
             if sol.scheme == "godunov":
@@ -452,6 +453,6 @@ def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
                 f = np.asarray(pair.F(cur))
                 g = _lf_flux(f, _right(f), u[:-1], _right(u[:-1]), coeff)
             res = (u[1:, 1:] - u[:-1, 1:]) + sol.lam * (g[:, 1:] - g[:, :-1])
-            # a fold over the rows' maxima, as over single steps (NaN rows skipped)
+            # a fold over the rows' maxima, as over single steps
             worst = max(worst, *np.max(res, axis=1).tolist())
     return worst

@@ -109,6 +109,16 @@ class SystemModel:
             ok = ok and bool(np.all(u[..., i] > lo) and np.all(u[..., i] < hi))
         return ok
 
+    def viscosity_diagonal(self, states) -> np.ndarray:
+        """The diagonal of B, checked to be diagonal and equal at the given
+        states (UnsupportedModelError otherwise): the viscous scheme and the
+        layer profile need a constant diagonal B."""
+        mats = [np.atleast_2d(np.asarray(self.viscosity(s), dtype=float)) for s in states]
+        b = mats[0]
+        if any(not np.array_equal(m, b) for m in mats[1:]) or np.any(b != np.diag(np.diag(b))):
+            raise UnsupportedModelError("needs a constant diagonal viscosity matrix B")
+        return np.diag(b)
+
 
 # --- Eigen helpers -----------------------------------------------------------
 

@@ -355,6 +355,41 @@ def test_bad_layer_and_audit_input_exit_2(task, params, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+LF = '"regularization": {"type": "lf", "lam": 0.1, "q": 0.5}, '
+
+
+@pytest.mark.parametrize("extra", [
+    '"y_max": null',
+    '"regularization": {"type": "lf", "q": 0.5}',
+    '"regularization": {"type": "lf", "lam": 0.1}',
+    '"y_max": "abc"',
+    '"regularization": {"type": "lf", "lam": "abc", "q": 0.5}',
+    '"y_max": -1',
+    '"y_max": 0',
+    '"y_max": true',
+    '"regularization": {"type": "lf", "lam": -0.1, "q": 0.5}',
+    '"regularization": {"type": "lf", "lam": 1e400, "q": 0.5}',
+    '"regularization": {"type": "godunov"}',
+    '"regularization": "lf"',
+    '"y_max": 1e12',
+    '"y_max": 1e308',
+    LF + '"y_max": 2.5',
+    LF + '"y_max": 100001',
+], ids=["y_max-null", "lf-no-lam", "lf-no-q", "y_max-str", "lam-str", "y_max-neg", "y_max-0",
+        "y_max-bool", "lam-neg", "lam-huge", "godunov", "reg-str", "y_max-1e12", "y_max-1e308",
+        "lf-y_max-float", "lf-y_max-over-cap"])
+def test_bad_layer_profile_params_exit_2(extra, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"task": "layer", "model": {"name": "burgers"}, "params": '
+                    '{"mode": "profile", "u_B": 1.0, "v_inf": -2.0, ' + extra + '}}')
+    out = tmp_path / "out"
+    assert cli.main(["layer", "--config", str(path), "--out", str(out)]) == 2
+    assert os.listdir(out) == ["error.json"]
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["error"] == "schema"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("snapshots", ["abc", 0, 2.5, True, None],
                          ids=["str", "zero", "float", "bool", "null"])
 def test_bad_snapshots_exit_2(snapshots, tmp_path, capsys):

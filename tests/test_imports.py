@@ -37,3 +37,28 @@ def test_scipy_free_tasks_do_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+LAYER_SCRIPT = r'''
+import json
+import sys
+
+from quarterplane import cli
+
+assert cli.main(["verify", "--config", "linear2_wrong_viscosity", "--out", "linear2"]) == 0
+with open("burgers.json", "w") as fh:  # a viscous layer profile that converges
+    json.dump({"task": "layer", "model": {"name": "burgers"},
+               "params": {"mode": "profile", "u_B": 1.0, "v_inf": -2.0}}, fh)
+assert cli.main(["layer", "--config", "burgers.json", "--out", "burgers"]) == 0
+with open("burgers/layer.json") as fh:
+    assert json.load(fh)["verdict"] == "converged"
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))[:5]
+'''
+
+
+def test_viscous_layer_profiles_do_not_import_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAYER_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

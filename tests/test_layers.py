@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from quarterplane.layers import (
     viscous_layer_profile,
     viscous_member_scalar,
 )
-from quarterplane.systems import make_model
+from quarterplane.systems import UnsupportedModelError, make_model
 
 BURGERS = make_model("burgers")
 CUBIC = make_model("cubic")
@@ -75,6 +77,96 @@ def test_viscous_profile_monotone_decay():
     d = np.abs(prof.states - (-2.0))
     assert np.all(np.diff(d) <= 1e-10)
     assert prof.distance_at_horizon <= 1e-6 * 3.0
+
+
+def _solve_ivp_profile(model, u_B, v_inf, y_max):
+    """The layer profile as scipy's RK45 integrates it (rtol 1e-10, atol
+    1e-12, terminal events at the blow-up distance and the finite lower
+    bounds of the state region), with the verdict rules of
+    ``viscous_layer_profile``; also returns the solver status."""
+    from scipy.integrate import solve_ivp
+
+    n = model.dimension
+    u0 = np.atleast_1d(np.asarray(u_B, dtype=float))
+    vi = np.atleast_1d(np.asarray(v_inf, dtype=float))
+    f_inf = np.atleast_1d(np.asarray(model.flux(vi if n > 1 else float(vi[0]))))
+    tol = 1e-6 * (1.0 + float(np.linalg.norm(vi)))
+    blow = 10.0 * (1.0 + np.linalg.norm(u0 - vi) + np.linalg.norm(vi))
+
+    def rhs(_, v):
+        dv = np.atleast_1d(np.asarray(model.flux(v if n > 1 else float(v[0])))) - f_inf
+        if n == 1:
+            return dv / float(np.atleast_2d(model.viscosity(float(v[0])))[0, 0])
+        return np.linalg.solve(np.asarray(model.viscosity(v), dtype=float), dv)
+
+    def too_far(_, v):
+        return np.linalg.norm(v - vi) - blow
+
+    too_far.terminal = True
+    events = [too_far]
+    for i, (lo, _) in enumerate(model.state_region):
+        if np.isfinite(lo):
+            def exit_lo(_, v, i=i, lo=lo):
+                return v[i] - (lo + 1e-9)
+            exit_lo.terminal = True
+            events.append(exit_lo)
+
+    sol = solve_ivp(rhs, (0.0, y_max), u0, method="RK45", rtol=1e-10, atol=1e-12,
+                    events=events)
+    dists = np.linalg.norm(sol.y.T - vi, axis=1)
+    d_end = float(dists[-1])
+    speed_end = float(np.linalg.norm(rhs(0.0, sol.y[:, -1])))
+    tail = dists[-(max(len(dists) // 4, 2)):]
+    monotone = bool(np.all(np.diff(tail) <= 1e-8 * (1.0 + tail[:-1])))
+    if sol.status == 1 or (not sol.success and d_end > blow * 0.5):
+        verdict = "diverged"
+    elif d_end <= tol and monotone:
+        verdict = "converged"
+    elif speed_end < 1e-6 * (1.0 + np.linalg.norm(f_inf)) and d_end > tol:
+        verdict = "stalled"
+    elif d_end > tol:
+        verdict = "horizon-reached" if d_end < blow * 0.5 else "diverged"
+    else:
+        verdict = "converged" if monotone else "horizon-reached"
+    return verdict, sol.t, d_end, sol.status
+
+
+def test_profile_matches_solve_ivp():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for model in (BURGERS, CUBIC):
+        cases += [(model, *map(float, rng.uniform(-2.5, 2.5, 2)), 50.0) for _ in range(80)]
+    for b in ([1.0, 1.0], [5.0, 1.0]):
+        model = make_model("linear2", B=b)
+        cases += [(model, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), 50.0) for _ in range(70)]
+    for v_i in (1.3, 1.5, 1.7, 2.3, 2.5):  # the p-system saddles of the curve checks
+        target = elasto_layer_curve(ELASTO, (2.0, 0.0), [v_i]).points[0]
+        cases.append((ELASTO, np.array([2.0, 0.0]), target, 60.0))
+    verdicts = set()
+    for model, u_B, v_inf, y_max in cases:
+        verdict, ys, d, status = _solve_ivp_profile(model, u_B, v_inf, y_max)
+        prof = viscous_layer_profile(model, u_B, v_inf, y_max)
+        case = (model.name, u_B, v_inf)
+        assert prof.verdict == verdict, case
+        assert abs(prof.distance_at_horizon - d) <= 1e-9 * (1.0 + d), case
+        if status == 1 and model is not ELASTO:  # ended on an event
+            assert prof.ys[-1] == pytest.approx(ys[-1], rel=1e-9, abs=0.0), case
+        verdicts.add(verdict)
+    assert len(cases) >= 300
+    assert verdicts >= {"converged", "diverged", "stalled"}
+
+
+def test_profile_needs_constant_diagonal_viscosity_and_positive_horizon():
+    state_dependent = dataclasses.replace(
+        BURGERS, viscosity=lambda u: np.array([[1.0 + float(u) ** 2]]))
+    coupled = dataclasses.replace(ELASTO, viscosity=lambda u: np.array([[1.0, 0.5], [0.5, 1.0]]))
+    with pytest.raises(UnsupportedModelError):
+        viscous_layer_profile(state_dependent, 1.0, -2.0)
+    with pytest.raises(UnsupportedModelError):
+        viscous_layer_profile(coupled, np.array([2.0, 0.0]), np.array([1.5, -0.8]))
+    for y_max in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="y_max must be positive"):
+            viscous_layer_profile(BURGERS, 1.0, -2.0, y_max=y_max)
 
 
 def test_exact_membership_matches_integration():

@@ -5,7 +5,7 @@ import pytest
 
 from quarterplane import schemes
 from quarterplane.layers import discrete_layer_membership
-from quarterplane.riemann import godunov_trace_scalar
+from quarterplane.riemann import godunov_flux, godunov_trace_scalar
 from quarterplane.schemes import (
     CFLError,
     discrete_entropy_residual,
@@ -354,3 +354,84 @@ def test_viscous_needs_constant_diagonal_viscosity():
     with pytest.raises(ValueError):
         run_viscous(coupled, np.array([0.5, 0.0]), np.array([0.5, 0.1]), h=0.02,
                     eps=0.02, t_end=0.05, n_cells=40)
+
+
+def _stacked_trace(model, v, w):
+    """The Godunov trace as a stack of candidates [lo, hi, clip(c)] with f
+    evaluated on the stack and two masked reductions (the reference for
+    the Osher kernel, which works from f(v), f(w) and f at c)."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    lo = np.minimum(v, w)
+    hi = np.maximum(v, w)
+    cand = [lo, hi] + [np.clip(c, lo, hi) for c in model.critical_points]
+    cand = np.stack(np.broadcast_arrays(*cand))
+    fvals = np.asarray(model.flux(cand), dtype=float)
+    at_min = np.where(fvals <= fvals.min(axis=0), cand, -np.inf)
+    at_max = np.where(fvals >= fvals.max(axis=0), cand, np.inf)
+    return np.where(v <= w, at_min.max(axis=0), at_max.min(axis=0))
+
+
+# a double well and a double hump: f(-1) = f(1) ties two minima or two
+# maxima, and f(0) = f(+-sqrt 2)
+QUARTIC_WELL = dataclasses.replace(
+    CUBIC, name="quartic", flux=lambda u: 0.25 * (u * u) * (u * u) - 0.5 * (u * u),
+    critical_points=(-1.0, 0.0, 1.0))
+QUARTIC_HUMP = dataclasses.replace(
+    QUARTIC_WELL, name="quartic-hump", flux=lambda u: 0.5 * (u * u) - 0.25 * (u * u) * (u * u))
+
+
+def test_osher_kernel_equals_stacked_candidates():
+    rng = np.random.default_rng(8)
+    # critical points and states whose flux ties with them or each other
+    marks = [(BURGERS, [0.0, -1.0, 1.0, -2.0, 2.0, 0.5, -0.5]),
+             (CUBIC, [-1.0, 1.0, -2.0, 2.0, 0.0, 3.0 ** 0.5, -(3.0 ** 0.5), 0.5]),
+             (QUARTIC_WELL, [-1.0, 0.0, 1.0, 2.0 ** 0.5, -(2.0 ** 0.5), -2.0, 2.0, 0.5]),
+             (QUARTIC_HUMP, [-1.0, 0.0, 1.0, 2.0 ** 0.5, -(2.0 ** 0.5), -2.0, 2.0, 0.5])]
+    for model, pts in marks:
+        states = np.concatenate([pts, rng.uniform(-2.5, 2.5, 8)])
+        v, w = (np.where(rng.random(40_000) < 0.7, rng.choice(states, 40_000),
+                         rng.uniform(-2.5, 2.5, 40_000)) for _ in range(2))
+        want = _stacked_trace(model, v, w)
+        assert np.array_equal(godunov_trace_scalar(model, v, w), want), model.name
+        assert np.array_equal(godunov_flux(model, v, w), model.flux(want)), model.name
+        assert godunov_trace_scalar(model, v[:50], w[:50]).tolist() == \
+            [float(godunov_trace_scalar(model, a, b)) for a, b in zip(v[:50], w[:50])]
+
+    def stacked_faces(model):
+        return lambda ext: np.asarray(model.flux(_stacked_trace(model, ext[:-1], ext[1:])))
+
+    for model, pts in marks[:2]:
+        u0 = rng.choice(np.array(pts), 300)  # neighbours tie often
+        kw = dict(h=0.01, lam=0.2, t_end=0.5, n_cells=300, n_snapshots=5, store_all=True)
+        sol = run_godunov(model, u0, 0.5, **kw)
+        ref = schemes._run_conservative(model, "godunov", stacked_faces(model), u0, 0.5,
+                                        q=None, speed_bound=1.0, **kw)
+        assert np.array_equal(sol.history, ref.history), model.name
+        assert np.array_equal(sol.flux_time_integral_left, ref.flux_time_integral_left)
+        assert np.array_equal(sol.flux_time_integral_right, ref.flux_time_integral_right)
+        for pairs in (None, [kruzkov_pair(model, k) for k in (-1.0, 0.0, 0.5)]):
+            worst = 0.0
+            for pair in model.entropies if pairs is None else pairs:
+                for cur, nxt in zip(sol.history[:-1], sol.history[1:]):
+                    right = np.concatenate([cur[1:], cur[-1:]])
+                    g = np.asarray(pair.F(_stacked_trace(model, cur, right)))
+                    res = (np.asarray(pair.U(nxt[1:])) - np.asarray(pair.U(cur[1:]))
+                           + sol.lam * (g[1:] - g[:-1]))
+                    worst = max(worst, float(np.max(res)))
+            assert discrete_entropy_residual(model, sol, pairs) == worst, model.name
+
+
+@pytest.mark.parametrize("level", [0, 3, 16, 17, 40])
+def test_residual_rejects_non_finite_history(level):
+    # 2048 cells: 16 levels per block, so levels 16 and 17 sit at a block edge
+    sol = run_lf(BURGERS, np.linspace(-0.5, 0.5, 2048), 0.3, h=0.001, lam=0.25, q=0.5,
+                 t_end=0.01, n_cells=2048, store_all=True)
+    assert sol.history.shape[0] == 41
+    assert discrete_entropy_residual(BURGERS, sol) <= 1e-12
+    for bad in (np.nan, np.inf):
+        history = sol.history.copy()
+        history[level, 7] = bad
+        history[-1, 9] = bad  # a later one is not the one named
+        with pytest.raises(ValueError, match=f"history level {level} is not finite"):
+            discrete_entropy_residual(BURGERS, dataclasses.replace(sol, history=history))
