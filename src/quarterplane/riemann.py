@@ -103,8 +103,8 @@ def scalar_riemann_trace(model: SystemModel, u_left: float, u_right: float) -> R
         raise UnsupportedModelError("scalar_riemann_trace requires a scalar model")
     ul, ur = float(u_left), float(u_right)
     waves = tuple(_scalar_waves(model, ul, ur)) if ul != ur else ()
-    trace = float(godunov_trace_scalar(model, ul, ur))
-    return RiemannFan(ul, ur, waves, trace, float(model.flux(trace)))
+    trace, flux = _godunov_scalar(model, ul, ur)
+    return RiemannFan(ul, ur, waves, float(trace), float(flux))
 
 
 def _critical_values(model):
