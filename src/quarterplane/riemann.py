@@ -138,6 +138,7 @@ def _osher(v, w, fv, fw, crit, f_crit):
 
 
 def _godunov_scalar(model, v, w):
+    """The trace R(v, w) and f there, elementwise over broadcast v and w."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     return _osher(v, w, model.flux(v), model.flux(w), *_critical_values(model))
@@ -156,7 +157,7 @@ def godunov_trace_scalar(model: SystemModel, v, w):
 def godunov_flux(model: SystemModel, u_left, u_right):
     """The Godunov numerical flux f(R(u_left, u_right))."""
     if model.dimension == 1:
-        return _godunov_scalar(model, u_left, u_right)[1][()]
+        return _godunov_scalar(model, u_left, u_right)[1][()]  # a 0-d result unwrapped
     fan = psystem_riemann_trace(model, u_left, u_right)
     return fan.flux_at_zero
 
