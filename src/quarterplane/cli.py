@@ -107,13 +107,7 @@ def validate_config(cfg: dict) -> None:
                 if val == [] or not all(map(_finite_number, val if isinstance(val, list) else [val])):
                     raise SchemaError(f"params: {key} must be a finite number or a list "
                                       f"of finite numbers, got {val!r}")
-            reg = params.get("regularization", "viscous")
-            if reg != "viscous":
-                if not (isinstance(reg, dict) and reg.get("type") == "lf"):
-                    raise SchemaError('params: regularization must be "viscous" or '
-                                      f'{{"type": "lf", "lam": ..., "q": ...}}, got {reg!r}')
-                _number(reg, "lam", "regularization")
-                _number(reg, "q", "regularization")
+            reg = _check_regularization(params, "regularization")
             # a layer coordinate (viscous) or a step count (LF)
             if "y_max" in params and _number(params, "y_max", "params",
                                              integer=reg != "viscous") > _MAX_LAYER_Y:
@@ -126,6 +120,8 @@ def validate_config(cfg: dict) -> None:
                 raise SchemaError("params: u_B and grid [lo, hi, n] must be finite numbers")
             if "samples" in params:
                 _number(params, "samples", "params", integer=True)
+            _check_regularization(params, "oracle")
+            _check_regularization(params, "regularization")
         if task == "riemann" and params.get("mode") != "euler-regions":
             for key in ("left", "right"):  # a number for a scalar, else a list
                 val = params.get(key)
@@ -133,6 +129,19 @@ def validate_config(cfg: dict) -> None:
                 if not (isinstance(state, list) and len(state) == dimension
                         and all(map(_finite_number, state))):
                     raise SchemaError(f"params: {key} is not a {dimension}-component state: {val!r}")
+
+
+def _check_regularization(params, key):
+    """params[key] (default "viscous"), checked to be "viscous" or
+    {"type": "lf", "lam": ..., "q": ...} with finite positive lam and q."""
+    reg = params.get(key, "viscous")
+    if reg != "viscous":
+        if not (isinstance(reg, dict) and reg.get("type") == "lf"):
+            raise SchemaError(f'params: {key} must be "viscous" or '
+                              f'{{"type": "lf", "lam": ..., "q": ...}}, got {reg!r}')
+        _number(reg, "lam", key)
+        _number(reg, "q", key)
+    return reg
 
 
 def _piecewise(table, dimension):
@@ -273,15 +282,10 @@ def task_simulate(cfg, out, seed, jobs):
     return summary
 
 
-def _regularization(params):
-    reg = params.get("regularization", "viscous")
-    if reg == "viscous":
-        return "viscous"
-    if isinstance(reg, dict) and reg.get("type") == "lf":
-        return ("lf", float(reg["lam"]), float(reg["q"]))
-    if isinstance(reg, dict) and reg.get("type") == "godunov":
-        return ("godunov",)
-    raise SchemaError(f"unknown regularization {reg!r}")
+def _regularization(params, key="regularization"):
+    """The library form of a regularization that validate_config checked."""
+    reg = params.get(key, "viscous")
+    return "viscous" if reg == "viscous" else ("lf", float(reg["lam"]), float(reg["q"]))
 
 
 def task_layer(cfg, out, seed, jobs):
@@ -369,23 +373,21 @@ def task_admissible(cfg, out, seed, jobs):
         "exclusions": list(adm.exclusion_set(model, u_B)),
         "layer_set_viscous": adm.layer_set_scalar(model, u_B, "viscous").as_json(),
     }
-    oracle_reg = p.get("oracle")
     rows = []
     bln = adm.bln_check(model, grid, u_B)
     kru = adm.kruzkov_worst(model, grid, u_B) <= 1e-9
     visc = adm.layer_member_oracle(model, u_B, grid, "viscous")
     columns = {"bln": bln, "kruzkov": kru, "viscous_layer": visc,
                "riemann_closed_form": rset.member_grid(grid)}
-    if oracle_reg:
-        reg = _regularization({"regularization": oracle_reg})
+    if "oracle" in p:
+        reg = _regularization(p, "oracle")
         columns["lf_layer"] = adm.layer_member_oracle(model, u_B, grid, reg)
     header = ["u0"] + list(columns)
     for i, x in enumerate(grid):
         rows.append((float(x), *[int(columns[c][i]) for c in columns]))
     write_csv(os.path.join(out, "membership.csv"), header, rows)
     if p.get("audit", True):
-        reg = _regularization(p) if "regularization" in p else "viscous"
-        rep = adm.inclusion_audit(model, u_B, reg,
+        rep = adm.inclusion_audit(model, u_B, _regularization(p),
                                   n_samples=int(p.get("samples", 1000)), seed=seed)
         result["audit"] = {"n_samples": rep.n_samples,
                           "n_layer_members": rep.n_layer_members,

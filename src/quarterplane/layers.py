@@ -1,23 +1,26 @@
 """Boundary-layer profiles and stable-manifold reports.
 
 Continuous profiles solve B(v) v' = f(v) - f(v_inf) with v(0) = u_B; discrete
-profiles iterate the implicit step of the Lax-Friedrichs-type scheme.  For
-systems, membership is forward integration/iteration from u_B: trajectories
-off the stable set diverge (or stall at a spurious equilibrium), which the
-horizon test detects.
+profiles iterate the implicit step of the Lax-Friedrichs-type scheme,
+v -> T(v) = w with w - mu f(w) = v + mu f(v) - 2 mu f(v_inf), mu = lam/(2q).
+For systems, membership is forward integration/iteration from u_B:
+trajectories off the stable set diverge or stall at a spurious equilibrium.
+
+Every LF layer computation is one damped-Newton kernel, ``_lf_step``, over
+states of shape (M, N) (N = 1 for scalars), run by one orbit loop,
+``_lf_orbit``, that gives each of M limits one verdict: one step, one profile
+(M = 1) and the batch cross-check are thin callers.
 
 For scalar fluxes membership is decided exactly on the phase line
-(``viscous_member_scalar``), for both regularizations.  The LF layer step
-v -> T(v) = w solves w - mu f(w) = v + mu f(v) - 2 mu f(v_inf), mu = lam/(2q).
-If mu |f'| < 1 on the hull [min(u_B, v_inf), max(u_B, v_inf)], then
-w -> w - mu f(w) and v -> v + mu f(v) are increasing there, so T is
-increasing, and T(v) - v has the sign of f(v) - f(v_inf).  The orbit from u_B
-is then monotone, its fixed points are the roots of f - f(v_inf), and it
-reaches v_inf exactly when the viscous trajectory does: under that
-hypothesis the LF and viscous layer sets coincide.  The paper's CFL
-hypothesis lam/q sup|f'| <= 1 implies it (``admissible`` checks it).
-``lf_membership_scalar_batch`` iterates the recursion itself and is kept as
-an independent cross-check of that argument.
+(``viscous_member_scalar``), for both regularizations.  If mu |f'| < 1 on the
+hull [min(u_B, v_inf), max(u_B, v_inf)], then w -> w - mu f(w) and
+v -> v + mu f(v) are increasing there, so T is increasing, and T(v) - v has
+the sign of f(v) - f(v_inf).  The orbit from u_B is then monotone, its fixed
+points are the roots of f - f(v_inf), and it reaches v_inf exactly when the
+viscous trajectory does: under that hypothesis the LF and viscous layer sets
+coincide.  The paper's CFL hypothesis lam/q sup|f'| <= 1 implies it
+(``admissible`` checks it).  ``lf_membership_scalar_batch`` iterates the
+recursion itself and is kept as an independent cross-check of that argument.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quarterplane.riemann import godunov_trace_scalar
-from quarterplane.systems import SystemModel, UnsupportedModelError, eigen_structure
+from quarterplane.systems import SystemModel, UnsupportedModelError, eigen_structure, quad_integral
 
 __all__ = [
     "LayerProfile",
@@ -325,55 +328,128 @@ def viscous_member_scalar(model: SystemModel, u_B: float, v_inf):
 
 # --- Discrete (scheme) layers ------------------------------------------------
 
+_VERDICTS = ("converged", "diverged", "stalled", "horizon-reached")
+
+
+def _norms(x):
+    """The 2-norm of each row of x, shape (M, N)."""
+    return np.hypot.reduce(x, axis=1, initial=0.0)
+
+
+def _newton_step(model: SystemModel, mu: float, w, r):
+    """-(I - mu f'(w))^-1 r for each row of w and r, shape (M, N), in closed
+    form: a division for N = 1, Cramer's rule for N = 2.  A singular system
+    gives NaN, which no damping repairs."""
+    if model.dimension == 1:
+        den = mu * model.dflux(w) - 1.0
+        return r / np.where(den == 0.0, np.nan, den)
+    (a, b), (c, d) = np.moveaxis(np.eye(2) - mu * np.array([model.jacobian(x) for x in w]), 0, -1)
+    det = a * d - b * c
+    return (np.stack([b * r[:, 1] - d * r[:, 0], c * r[:, 0] - a * r[:, 1]], axis=1)
+            / np.where(det == 0.0, np.nan, det)[:, None])
+
+
+def _lf_step(model: SystemModel, mu: float, v, f_inf, max_iter: int = 100, tol: float = 1e-12):
+    """The implicit LF layer step for each row of v, shape (M, N): solves
+    w - mu f(w) = v + mu f(v) - 2 mu f_inf by Newton from w = v (so the root
+    in the basin of v is selected), halving each state's step until its
+    residual decreases.  Returns w and the mask of the states whose Newton
+    failed: 30 halvings did not decrease the residual, or max_iter steps
+    left it above tol (1 + |w|)."""
+    fv = model.flux(v)
+    c = v + mu * (fv - 2.0 * f_inf)
+    w, r = v.copy(), v - mu * fv - c
+    nr = _norms(r)
+    failed = np.zeros(len(v), dtype=bool)
+    todo = ~failed
+    for _ in range(max_iter):
+        todo &= ~(nr <= tol * (1.0 + _norms(w)))  # a NaN residual is not converged
+        n_todo = np.count_nonzero(todo)
+        if not n_todo:
+            return w, failed
+        step = np.where(todo[:, None], _newton_step(model, mu, w, r), 0.0)
+        for _ in range(31):  # the states off todo keep w: their step is 0
+            w_new = w + step
+            r_new = w_new - mu * model.flux(w_new) - c
+            nr_new = _norms(r_new)
+            better = nr_new < nr  # so better is a subset of todo
+            if np.count_nonzero(better) == n_todo:
+                break
+            step *= np.where(better, 1.0, 0.5)[:, None]
+        else:
+            failed |= todo & ~better
+            todo &= better
+        w, r, nr = w_new, r_new, nr_new
+    return w, failed | todo & ~(nr <= tol * (1.0 + _norms(w)))
+
+
+def _lf_orbit(model: SystemModel, mu: float, u_B, v_inf, y_max: int, member_tol=None):
+    """Iterate the LF layer step from u_B (shape (N,)) toward each row of
+    v_inf (shape (M, N)) for at most y_max steps.  With tol = 1e-6 (1 +
+    |v_inf|), accept = member_tol (default 1e-3 tol) and near = max(tol,
+    accept), each limit gets one verdict, an index into _VERDICTS: diverged
+    when Newton fails (adding no state) or the state is not finite, leaves
+    the model's region or is farther than 10 (1 + |u_B - v_inf| + |v_inf|)
+    from v_inf; converged within accept of v_inf; stalled when the orbit
+    creeps to another fixed point: farther than near from v_inf, with a step
+    s under near and a geometric tail s r / (1 - r), r = s / (previous step)
+    < 1, under a quarter of the distance.  The tail is the remaining travel
+    of a geometric orbit and half that of one creeping as 1/y to a tangency
+    (f' = 0) point, so no orbit bound for v_inf stalls.  After y_max steps:
+    converged within near, horizon-reached otherwise.  Returns the verdicts,
+    the last distances and, for M = 1, the orbit (the states from u_B on)."""
+    m = len(v_inf)
+    tol = 1e-6 * (1.0 + _norms(v_inf))
+    accept = 1e-3 * tol if member_tol is None else member_tol
+    near = np.maximum(tol, accept)
+    dist = _norms(u_B - v_inf)
+    blow = 10.0 * (1.0 + dist + _norms(v_inf))
+    lo, hi = np.array(model.state_region, dtype=float).T
+    f_inf = model.flux(v_inf)
+    verdict = np.full(m, 3)
+    orbit = [u_B] if m == 1 else None
+    v, s_prev, d_prev, idx = np.tile(u_B, (m, 1)), blow, dist, np.arange(m)
+    for _ in range(y_max):
+        if not idx.size:
+            break
+        w, failed = _lf_step(model, mu, v, f_inf)
+        d, s = _norms(w - v_inf), _norms(w - v)
+        if m == 1 and not failed[0]:
+            orbit.append(w[0])
+        out = failed | ~(d <= blow) | ~((w > lo) & (w < hi)).all(axis=1)
+        conv = d <= accept
+        stall = (d > near) & (s < near) & (4.0 * s * s <= d * (s_prev - s))
+        done = out | conv | stall
+        if done.any():  # compacting every step slows the cubic 1.5 -> -0.5 profile 1.2x
+            verdict[idx[done]] = np.where(out, 1, np.where(conv, 0, 2))[done]
+            dist[idx[done]] = np.where(failed, d_prev, d)[done]
+            keep = ~done
+            idx, w, v_inf, f_inf, accept, near, blow, s, d = (
+                a[keep] for a in (idx, w, v_inf, f_inf, accept, near, blow, s, d))
+        v, s_prev, d_prev = w, s, d
+    else:
+        verdict[idx] = np.where(d_prev <= near, 0, 3)
+        dist[idx] = d_prev
+    return verdict, dist, orbit
+
 
 def discrete_lf_layer_step(model: SystemModel, lam: float, q: float, v_y, v_inf,
                            max_iter: int = 100, tol: float = 1e-12):
-    """One implicit step of the discrete layer recursion.
-
-    Solves w - v_y - mu (f(v_y) + f(w) - 2 f(v_inf)) = 0 with mu = lam/(2 q)
-    by damped Newton started at v_y (so the root in the basin of v_y is
-    selected, keeping the profile continuous in its starting value).
-    """
-    n = model.dimension
-    mu = lam / (2.0 * q)
-    scalar = n == 1
-    vy = np.atleast_1d(np.asarray(v_y, dtype=float))
-    vi = np.atleast_1d(np.asarray(v_inf, dtype=float))
-
-    def fval(x):
-        return np.atleast_1d(np.asarray(model.flux(x if not scalar else float(x[0]))))
-
-    c = vy + mu * (fval(vy) - 2.0 * fval(vi))
-
-    def residual(w):
-        return w - mu * fval(w) - c
-
-    w = vy.copy()
-    r = residual(w)
-    for _ in range(max_iter):
-        nr = np.linalg.norm(r)
-        if nr <= tol * (1.0 + np.linalg.norm(w)):
-            break
-        jac = np.eye(n) - mu * np.asarray(model.jacobian(w if not scalar else float(w[0])))
-        step = np.linalg.solve(jac, -r)
-        for _ in range(31):
-            w_new = w + step
-            r_new = residual(w_new)
-            if np.linalg.norm(r_new) < nr:
-                break
-            step *= 0.5
-        else:
-            raise RuntimeError("Newton failed in the discrete layer step")
-        w, r = w_new, r_new
-    else:
-        raise RuntimeError("Newton did not converge in the discrete layer step")
-    return float(w[0]) if scalar else w
+    """One implicit step of the discrete layer recursion, mu = lam/(2 q):
+    ``_lf_step`` from v_y, so the root in the basin of v_y is selected and
+    the profile is continuous in its starting value.  A float for a scalar
+    model; RuntimeError when Newton fails."""
+    w, failed = _lf_step(model, lam / (2.0 * q), np.array(v_y, dtype=float, ndmin=2),
+                         model.flux(np.array(v_inf, dtype=float, ndmin=2)), max_iter, tol)
+    if failed[0]:
+        raise RuntimeError("Newton failed in the discrete layer step")
+    return float(w[0, 0]) if model.dimension == 1 else w[0]
 
 
 def discrete_layer_membership(model: SystemModel, scheme, u_B, v_inf,
                               y_max: int = 500) -> LayerProfile:
-    """Iterate the discrete layer recursion (LF) or apply the Riemann-trace
-    characterization (Godunov: member iff v_inf = R(u_B, v_inf))."""
+    """Iterate the discrete layer recursion (LF, ``_lf_orbit``) or apply the
+    Riemann-trace characterization (Godunov: member iff v_inf = R(u_B, v_inf))."""
     u0 = np.atleast_1d(np.asarray(u_B, dtype=float))
     vi = np.atleast_1d(np.asarray(v_inf, dtype=float))
     tol = tol_conv(vi)
@@ -391,109 +467,28 @@ def discrete_layer_membership(model: SystemModel, scheme, u_B, v_inf,
     if scheme[0] != "lf":
         raise ValueError("scheme must be ('lf', lam, q) or ('godunov',)")
     _, lam, q = scheme
-    blow = 10.0 * (1.0 + np.linalg.norm(u0 - vi) + np.linalg.norm(vi))
-
-    ys = [0.0]
-    states = [u0.copy()]
-    v = u0.copy()
-    verdict = "horizon-reached"
-    for y in range(1, y_max + 1):
-        try:
-            v = np.atleast_1d(np.asarray(
-                discrete_lf_layer_step(model, lam, q, v if model.dimension > 1 else float(v[0]),
-                                       vi if model.dimension > 1 else float(vi[0]))))
-        except RuntimeError:
-            verdict = "diverged"
-            break
-        ys.append(float(y))
-        states.append(v.copy())
-        d = np.linalg.norm(v - vi)
-        if d > blow or not np.all(np.isfinite(v)) or not model.in_region(v):
-            verdict = "diverged"
-            break
-        if d <= 1e-3 * tol:
-            verdict = "converged"
-            break
-    ys = np.asarray(ys)
-    states = np.asarray(states)
-    dists = np.linalg.norm(states - vi, axis=1)
-    d_end = float(dists[-1])
-    if verdict == "horizon-reached":
-        if d_end <= tol and _monotone_tail(dists):
-            verdict = "converged"
-        elif len(states) > 2 and np.linalg.norm(states[-1] - states[-2]) < 1e-12 * (1.0 + d_end) and d_end > tol:
-            verdict = "stalled"
-    if model.dimension == 1:
-        states = states[:, 0]
-    return LayerProfile("discrete", ys, states, u0, vi, verdict, d_end)
+    verdict, dist, orbit = _lf_orbit(model, lam / (2.0 * q), u0, vi[None], y_max)
+    states = np.asarray(orbit)
+    return LayerProfile("discrete", np.arange(len(states), dtype=float),
+                        states[:, 0] if model.dimension == 1 else states, u0, vi,
+                        _VERDICTS[verdict[0]], float(dist[0]))
 
 
 def lf_membership_scalar_batch(model: SystemModel, lam: float, q: float,
                                u_B: float, v_infs, y_max: int = 500,
                                member_tol=None):
-    """Scalar LF membership by iterating the layer recursion itself.
-
-    Runs the implicit recursion for all candidates at once with an
-    elementwise damped Newton solve; returns a boolean membership array.
-    Each sweep steps only the candidates still undecided.  ``member_tol`` is
-    the accept distance (default 1e-9-ish); set it looser together with a
-    large ``y_max`` when the contraction factors are close to one (small
-    mu = lam/2q).  The production oracle is the exact phase-line test (module
-    docstring); this iteration is its independent cross-check.
-    """
-    mu = lam / (2.0 * q)
-    f = model.flux
-    vi_all = np.asarray(v_infs, dtype=float)
-    member = np.zeros(vi_all.shape, dtype=bool)
-    flat = member.reshape(-1)  # a view: setting flat sets member
-    vi = vi_all.ravel()
-    tol = 1e-6 * (1.0 + np.abs(vi))
-    mtol = 1e-3 * tol if member_tol is None else \
-        np.broadcast_to(np.asarray(member_tol, dtype=float), vi_all.shape).ravel()
-    blow = 10.0 * (1.0 + np.abs(u_B - vi) + np.abs(vi))
-    f_inf = np.asarray(f(vi))
-    v = np.full_like(vi, float(u_B))
-    idx = np.arange(vi.size)  # the undecided candidates; the arrays above follow it
-    for _ in range(y_max):
-        if not idx.size:
-            break
-        c = v + mu * (np.asarray(f(v)) - 2.0 * f_inf)
-        w = v.copy()
-        r = w - mu * np.asarray(f(w)) - c
-        for _ in range(25):
-            bad = np.abs(r) > 1e-12 * (1.0 + np.abs(w))
-            if not np.any(bad):
-                break
-            dfw = np.asarray(model.dflux(w))
-            denom = 1.0 - mu * dfw
-            denom = np.where(np.abs(denom) < 1e-14, 1e-14, denom)
-            step = np.where(bad, -r / denom, 0.0)
-            w_try = w + step
-            r_try = w_try - mu * np.asarray(f(w_try)) - c
-            # elementwise damping
-            for _ in range(30):
-                worse = np.abs(r_try) >= np.abs(r)
-                if not np.any(worse & bad):
-                    break
-                step = np.where(worse, 0.5 * step, step)
-                w_try = w + step
-                r_try = w_try - mu * np.asarray(f(w_try)) - c
-            w, r = w_try, r_try
-        # elements whose implicit step has no reachable root have left the
-        # existence domain of the recursion: not members
-        failed = np.abs(r) > 1e-10 * (1.0 + np.abs(w))
-        prev, v = v, w
-        d = np.abs(v - vi)
-        newly_member = (d <= mtol) & ~failed
-        flat[idx[newly_member]] = True
-        diverged = failed | (d > blow) | ~np.isfinite(v)
-        stalled = (np.abs(v - prev) < 1e-13 * (1.0 + np.abs(v))) & (d > np.maximum(tol, mtol))
-        keep = ~(newly_member | diverged | stalled)
-        idx, v, vi, tol, mtol, blow, f_inf = (
-            a[keep] for a in (idx, v, vi, tol, mtol, blow, f_inf))
-    # whatever is still undecided at the horizon: accept if within tolerance
-    flat[idx[np.abs(v - vi) <= np.maximum(tol, mtol)]] = True
-    return member
+    """Scalar LF membership by iterating the layer recursion itself, one
+    ``_lf_orbit`` over all candidates: a boolean array of v_infs' shape.
+    ``member_tol`` is the accept distance (default 1e-9-ish); loosen it
+    together with a larger ``y_max`` when the contraction factors are close
+    to one (small mu = lam/2q).  This is the independent cross-check of the
+    exact phase-line oracle (module docstring)."""
+    vi = np.asarray(v_infs, dtype=float)
+    if member_tol is not None:
+        member_tol = np.broadcast_to(np.asarray(member_tol, dtype=float), vi.shape).ravel()
+    verdict, _, _ = _lf_orbit(model, lam / (2.0 * q), np.array([float(u_B)]),
+                              vi.reshape(-1, 1), y_max, member_tol)
+    return (verdict == 0).reshape(vi.shape)
 
 
 # --- Stable-manifold reports -------------------------------------------------
@@ -605,14 +600,11 @@ def elasto_layer_curve(model: SystemModel, base, v_inf_range) -> CurveSet:
     vs = np.asarray(v_inf_range, dtype=float)
     excess = model.params.get("sigma_excess")
     if excess is None:
-        from scipy.integrate import quad
         sig = model.params["sigma"]
 
         def excess(v_i, v_B):
             sig_i = float(sig(v_i))
-            val, _ = quad(lambda s: float(sig(s)) - sig_i, v_i, v_B,
-                          epsabs=1e-12, epsrel=1e-10, limit=200)
-            return abs(val)
+            return abs(quad_integral(lambda s: float(sig(s)) - sig_i, v_i, v_B))
 
     def u_inf(v_i):
         if v_i == v_B:

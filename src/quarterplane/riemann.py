@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quarterplane.systems import SystemModel, UnsupportedModelError
+from quarterplane.systems import SystemModel, UnsupportedModelError, quad_integral
 
 __all__ = [
     "Wave",
@@ -191,11 +191,8 @@ def _sqrt_sigma_p_integral(model, v0, v1):
     closed = model.params.get("sqrt_sigma_prime_integral")
     if closed is not None:
         return closed(v0, v1)
-    from scipy.integrate import quad
-
     sp = model.params["sigma_prime"]
-    val, _ = quad(lambda s: np.sqrt(float(sp(s))), v0, v1, epsabs=1e-12, epsrel=1e-10, limit=200)
-    return val
+    return quad_integral(lambda s: np.sqrt(float(sp(s))), v0, v1)
 
 
 def _wave_offset(model, v, v_end):

@@ -296,17 +296,16 @@ def _make_cubic(params):
 
     def level_roots(u):
         # Deflating (v - u) from v^3 - 3v - (u^3 - 3u) leaves the quadratic
-        # v^2 + u v + (u^2 - 3).
+        # v^2 + u v + (u^2 - 3); v = u is one of its roots only at the
+        # critical points u = +-1.
         u = float(u)
         disc = 12.0 - 3.0 * u * u
         if disc < 0.0:
             return ()
         if disc <= 1e-12:
-            roots = [-0.5 * u]  # double root at |u| = 2
-        else:
-            rt = math.sqrt(disc)
-            roots = [0.5 * (-u - rt), 0.5 * (-u + rt)]
-        return tuple(sorted(r for r in roots if abs(r - u) > 1e-9))
+            return (-0.5 * u,)  # double root at |u| = 2
+        rt = math.sqrt(disc)
+        return tuple(r for r in (0.5 * (-u - rt), 0.5 * (-u + rt)) if r != u or abs(u) != 1.0)
 
     return SystemModel(
         name="cubic", dimension=1, flux=f,
@@ -391,10 +390,24 @@ def _default_stress_excess(v_i, v_B):
     return abs(d * d * (0.5 * (1.0 + v_i * v_i) + d * (v_i / 3.0 + d / 12.0)))
 
 
+def quad_integral(fn, a, b) -> float:
+    """The integral of fn over [a, b] (signed) by adaptive quadrature: the
+    fallback of every p-system integral that has no closed form."""
+    from scipy.integrate import quad
+
+    return quad(fn, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+
+
+def _stress_energy_quad(sigma):
+    """v -> the integral of sigma from 0 to v, elementwise, by quadrature."""
+    return np.vectorize(lambda x: quad_integral(lambda s: float(sigma(s)), 0.0, x), otypes=[float])
+
+
 def _make_elastodynamics(params):
     sigma = params.get("sigma", _default_stress)
     sigma_p = params.get("sigma_prime", _default_stress_prime)
-    sigma_int = params.get("sigma_energy", _default_stress_energy)
+    sigma_int = params.get("sigma_energy", _stress_energy_quad(sigma) if "sigma" in params
+                           else _default_stress_energy)
     # closed forms of the default stress; a user-supplied law gets None, and
     # its integrals fall back to quadrature
     custom = "sigma" in params or "sigma_prime" in params

@@ -340,9 +340,14 @@ def test_riemann_bad_state_exit_2(model, left, tmp_path, capsys):
     ("admissible", {"u_B": 1.0, "grid": [-3.0, 3.0, 5], "samples": 0}),
     ("admissible", {"u_B": 1.0, "grid": [-3.0, 3.0, 5], "samples": 2.5}),
     ("admissible", {"u_B": 1.0, "grid": [-3.0, 3.0, 5], "samples": 10 ** 400}),
+    ("admissible", {"u_B": 1.0, "grid": [-3.0, 3.0, 5], "oracle": {"type": "lf", "q": 0.5}}),
+    ("admissible", {"u_B": 1.0, "grid": [-3.0, 3.0, 5],
+                    "oracle": {"type": "lf", "lam": 0.1, "q": 0}}),
+    ("admissible", {"u_B": 1.0, "grid": [-3.0, 3.0, 5],
+                    "regularization": {"type": "lf", "lam": "x", "q": 0.5}}),
 ], ids=["layer-u_B-missing", "layer-v_inf-missing", "layer-u_B-nan-lf", "layer-v_inf-str",
         "layer-u_B-inf-in-list", "layer-u_B-empty-list", "samples-str", "samples-0",
-        "samples-float", "samples-huge"])
+        "samples-float", "samples-huge", "oracle-no-lam", "oracle-q-0", "audit-lam-str"])
 def test_bad_layer_and_audit_input_exit_2(task, params, tmp_path, capsys):
     cfg = {"task": task, "model": {"name": "burgers"}, "params": params}
     path = tmp_path / "cfg.json"

@@ -14,6 +14,7 @@ from quarterplane.layers import (
     viscous_layer_profile,
     viscous_member_scalar,
 )
+from quarterplane.layers import _lf_step, _newton_step
 from quarterplane.systems import UnsupportedModelError, make_model
 
 BURGERS = make_model("burgers")
@@ -52,6 +53,39 @@ def test_linear_flux_step_is_affine():
         expected = np.linalg.solve(np.eye(2) - mu * a,
                                    (np.eye(2) + mu * a) @ v - 2 * mu * a @ vi)
         np.testing.assert_allclose(w, expected, atol=1e-10)
+
+
+def test_step_kernel_batch_equals_single_states():
+    # one kernel call over M states gives what M one-state calls give, the
+    # failed (no reachable root) states included
+    rng = np.random.default_rng(5)
+    cases = [(BURGERS, 0.25, rng.uniform(-2.5, 2.5, (61, 1)), rng.uniform(-2.5, 2.5, (61, 1))),
+             (CUBIC, 0.25, rng.uniform(-2.5, 2.5, (61, 1)), rng.uniform(-2.5, 2.5, (61, 1))),
+             # M = 1: linear2's flux is a matmul, whose rounding depends on M
+             (LINEAR2, 0.1, rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (1, 2))),
+             (ELASTO, 0.1, rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (1, 2)))]
+    for model, mu, v, v_inf in cases:
+        f_inf = model.flux(v_inf)
+        w, failed = _lf_step(model, mu, v, f_inf)
+        for i in range(len(v)):
+            w_i, failed_i = _lf_step(model, mu, v[i:i + 1], f_inf[i:i + 1])
+            assert failed_i[0] == failed[i], (model.name, i)
+            if not failed[i]:
+                assert np.all(w_i[0] == w[i]), (model.name, i)
+        if model.dimension == 1:
+            assert 0 < np.count_nonzero(failed) < len(v), model.name
+
+
+def test_closed_form_newton_step_matches_solve():
+    rng = np.random.default_rng(8)
+    mu = 0.1
+    for model in (LINEAR2, ELASTO):
+        w = rng.uniform(-1.5, 1.5, (100, 2))
+        r = rng.uniform(-1.0, 1.0, (100, 2))
+        got = _newton_step(model, mu, w, r)
+        for w_i, r_i, g in zip(w, r, got):
+            want = np.linalg.solve(np.eye(2) - mu * model.jacobian(w_i), -r_i)
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-12 * (1.0 + np.abs(want).max()))
 
 
 def test_fixed_point_of_step():
@@ -220,6 +254,16 @@ def test_batch_lf_membership_matches_scalar_loop():
         for vi, got in zip(vis, batch):
             prof = discrete_layer_membership(model, ("lf", lam, q), u_B, vi)
             assert got == (prof.verdict == "converged"), (model.name, u_B, vi)
+
+
+def test_lf_profile_diverges_at_the_step_that_leaves_the_region():
+    # the flux 1/v of the Lagrangian gas stays finite at v < 0: only the
+    # state-region test stops the orbit, at its first step
+    prof = discrete_layer_membership(LAGR, ("lf", 0.8, 0.5), [0.3, 0.0], [1.0, -1.0])
+    assert prof.verdict == "diverged"
+    np.testing.assert_allclose(prof.states, [[0.3, 0.0], [-1.7972297181140187, 0.6215371476425232]],
+                               rtol=1e-12)
+    assert prof.distance_at_horizon == pytest.approx(3.2332455547150887, rel=1e-12)
 
 
 # Manifold reports ------------------------------------------------------------

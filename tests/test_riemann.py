@@ -163,6 +163,9 @@ def test_cubic_companions_cases():
     assert cubic_companions(CUBIC, 1.0) == pytest.approx((-2.0,))
     assert cubic_companions(CUBIC, -1.0) == pytest.approx((2.0,))
     assert cubic_companions(CUBIC, 2.0) == pytest.approx((-1.0,))
+    # only u = +-1 itself loses the root v = u
+    assert cubic_companions(CUBIC, 1.0000000001) == pytest.approx((-2.0, 0.9999999999), abs=1e-12)
+    assert cubic_companions(CUBIC, -1.0000000001) == pytest.approx((-0.9999999999, 2.0), abs=1e-12)
 
 
 def test_cubic_companion_flux_accuracy():

@@ -312,6 +312,17 @@ def test_elasto_curve_closed_form_matches_quad():
         assert np.max(np.abs(closed[:, 1] - quad[:, 1])) <= 1e-13
 
 
+def test_custom_stress_energy_matches_its_gradient():
+    # sigma = 2v + v^3 without sigma_energy: U is integrated from sigma
+    m = make_model("elastodynamics", sigma=lambda v: 2.0 * v + v ** 3,
+                   sigma_prime=lambda v: 2.0 + 3.0 * v * v)
+    energy = m.entropies[0]
+    h = 1e-4
+    for state in (np.array([1.0, 0.3]), np.array([-0.7, 1.2]), np.array([2.1, -0.4])):
+        fd = [(energy.U(state + e) - energy.U(state - e)) / (2 * h) for e in h * np.eye(2)]
+        np.testing.assert_allclose(fd, energy.grad_U(state), atol=1e-6)
+
+
 def test_custom_stress_takes_the_quad_fallback():
     from quarterplane.layers import elasto_layer_curve
     from quarterplane.riemann import _phi1, _phi2, psystem_riemann_trace
