@@ -11,6 +11,7 @@ byte-identical for identical config + seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -76,6 +77,7 @@ def validate_config(cfg: dict) -> None:
         raise SchemaError("task must not be empty")
     if task not in TASKS:
         raise SchemaError(f"unknown task {task!r}; expected one of {TASKS}")
+    _count(cfg, "seed", "config")
     model = _require(cfg, "model", dict)
     _require(model, "name", str, "model")
     try:
@@ -90,18 +92,24 @@ def validate_config(cfg: dict) -> None:
         grid = _require(cfg, "grid", dict)
         if "snapshots" in grid:
             _number(grid, "snapshots", "grid", integer=True)
-        _require(cfg, "data", dict)
+        data = _require(cfg, "data", dict)
+        for key in ("u_I", "u_B"):
+            _require(data, key, object, "data")
     if task == "study":
         sweep = _require(cfg, "sweep", dict)
+        if _require(sweep, "parameter", str, "sweep") not in ("eps", "cells"):
+            raise SchemaError(f"sweep: parameter must be \"eps\" or \"cells\", "
+                              f"got {sweep['parameter']!r}")
         values = _require(sweep, "values", list, "sweep")
-        if len(values) < 1:
-            raise SchemaError("sweep: needs at least one value")
+        if not values or not all(map(_finite_number, values)):
+            raise SchemaError("sweep: values must be one or more finite numbers")
         svals = sorted(values)
         if svals != values and svals[::-1] != values:
             raise SchemaError("sweep: values must be monotone")
     if task in ("layer", "admissible", "riemann"):
         params = _require(cfg, "params", dict)
-        if task == "layer" and params.get("mode", "profile") == "profile":
+        mode = params.get("mode", "profile")
+        if task == "layer" and mode == "profile":
             for key in ("u_B", "v_inf"):  # a finite number or a list of them
                 val = params.get(key)
                 if val == [] or not all(map(_finite_number, val if isinstance(val, list) else [val])):
@@ -113,6 +121,20 @@ def validate_config(cfg: dict) -> None:
                                              integer=reg != "viscous") > _MAX_LAYER_Y:
                 raise SchemaError(f"params: y_max must be at most {_MAX_LAYER_Y:g}, "
                                   f"got {params['y_max']!r}")
+        elif task == "layer" and mode == "elasto-curve":
+            _state(params.get("base"), "base", 2)
+            vs = params.get("v_inf_range")
+            if not (isinstance(vs, list) and vs and all(map(_finite_number, vs))):
+                raise SchemaError(f"params: v_inf_range must be a non-empty list of finite "
+                                  f"numbers, got {vs!r}")
+        elif task == "layer" and mode == "lagrangian":
+            _number(params, "lam", "params")
+            _state(params.get("limit"), "limit", 2)
+            if "start" in params:
+                _state(params["start"], "start", 2)
+            _count(params, "steps", "params")
+        elif task == "layer":
+            raise SchemaError(f"unknown layer mode {mode!r}")
         if task == "admissible":
             grid = params.get("grid", [-3.0, 3.0, 241])
             if not (_finite_number(params.get("u_B")) and isinstance(grid, list)
@@ -122,13 +144,32 @@ def validate_config(cfg: dict) -> None:
                 _number(params, "samples", "params", integer=True)
             _check_regularization(params, "oracle")
             _check_regularization(params, "regularization")
-        if task == "riemann" and params.get("mode") != "euler-regions":
-            for key in ("left", "right"):  # a number for a scalar, else a list
-                val = params.get(key)
-                state = [val] if dimension == 1 else val
-                if not (isinstance(state, list) and len(state) == dimension
-                        and all(map(_finite_number, state))):
-                    raise SchemaError(f"params: {key} is not a {dimension}-component state: {val!r}")
+        if task == "riemann" and mode == "euler-regions":
+            states = params.get("states")
+            if not isinstance(states, list):
+                raise SchemaError(f"params: states must be a list of (rho, u) pairs, "
+                                  f"got {states!r}")
+            for i, val in enumerate(states):
+                _state(val, f"states.{i}", 2)
+        elif task == "riemann":
+            _state(params.get("left"), "left", dimension)
+            _state(params.get("right"), "right", dimension)
+
+
+def _state(val, name, dimension):
+    """Check ``val`` is a state: a finite number for a scalar model, a list
+    of ``dimension`` finite numbers otherwise."""
+    state = [val] if dimension == 1 else val
+    if not (isinstance(state, list) and len(state) == dimension
+            and all(map(_finite_number, state))):
+        raise SchemaError(f"params: {name} is not a {dimension}-component state: {val!r}")
+
+
+def _count(section, key, ctx):
+    """Check section[key], if present, is a non-negative integer."""
+    val = section.get(key, 0)
+    if type(val) is not int or val < 0:
+        raise SchemaError(f"{ctx}: {key} must be a non-negative integer, got {val!r}")
 
 
 def _check_regularization(params, key):
@@ -193,12 +234,18 @@ def write_json(path: str, payload: dict) -> None:
     _atomic_write(path, text)
 
 
-def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_csv(path: str, header, columns) -> None:
+    """A CSV with one sequence of ``columns`` per header name.  A float is
+    written as ``repr(float(v))``, Python's shortest round-trip form; any
+    other value as ``str(v)``."""
+    rows = zip(*map(_cells, columns), strict=True)
+    _atomic_write(path, "\n".join([",".join(header), *map(",".join, rows)]) + "\n")
+
+
+def _cells(col):
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return map(repr, col.tolist())
+    return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in col]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -260,13 +307,9 @@ def task_simulate(cfg, out, seed, jobs):
     model = _build_model(cfg)
     sol = _run_scheme(model, cfg)
     rep = diagnostics.extract_boundary_trace(model, sol)
-    if sol.final.ndim == 1:
-        rows = [(x, u) for x, u in zip(sol.xs, sol.final)]
-        header = ["x", "u"]
-    else:
-        rows = [(x, *u) for x, u in zip(sol.xs, sol.final)]
-        header = ["x"] + [f"u{i + 1}" for i in range(sol.final.shape[1])]
-    write_csv(os.path.join(out, "final.csv"), header, rows)
+    final = sol.final.reshape(len(sol.xs), -1).T
+    names = ["u"] if sol.final.ndim == 1 else [f"u{i + 1}" for i in range(len(final))]
+    write_csv(os.path.join(out, "final.csv"), ["x", *names], [sol.xs, *final])
     summary = {
         "scheme": sol.scheme,
         "model": sol.model_name,
@@ -304,14 +347,9 @@ def task_layer(cfg, out, seed, jobs):
         else:
             prof = layers.discrete_layer_membership(model, reg, u_B, v_inf,
                                                     y_max=int(p.get("y_max", 500)))
-        states = np.asarray(prof.states, dtype=float)
-        if states.ndim == 1:
-            rows = [(y, s) for y, s in zip(prof.ys, states)]
-            header = ["y", "v"]
-        else:
-            rows = [(y, *s) for y, s in zip(prof.ys, states)]
-            header = ["y"] + [f"v{i + 1}" for i in range(states.shape[1])]
-        write_csv(os.path.join(out, "profile.csv"), header, rows)
+        states = prof.states.reshape(len(prof.ys), -1).T
+        names = ["v"] if prof.states.ndim == 1 else [f"v{i + 1}" for i in range(len(states))]
+        write_csv(os.path.join(out, "profile.csv"), ["y", *names], [prof.ys, *states])
         result.update({"verdict": prof.verdict,
                        "distance_at_horizon": prof.distance_at_horizon})
         rep = layers.manifold_report(model, reg, np.atleast_1d(u_B),
@@ -326,11 +364,10 @@ def task_layer(cfg, out, seed, jobs):
         base = p["base"]
         vs = np.asarray(p["v_inf_range"], dtype=float)
         curve = layers.elasto_layer_curve(model, base, vs)
-        write_csv(os.path.join(out, "curve.csv"), ["v_inf", "u_inf"],
-                  [tuple(pt) for pt in curve.points])
+        write_csv(os.path.join(out, "curve.csv"), ["v_inf", "u_inf"], curve.points.T)
         result.update({"base": curve.base_point, "tangent": curve.tangent,
                        "points": curve.points})
-    elif mode == "lagrangian":
+    else:  # "lagrangian"
         lam = float(p["lam"])
         limit = np.asarray(p["limit"], dtype=float)
         state = np.asarray(p.get("start", limit), dtype=float)
@@ -343,7 +380,7 @@ def task_layer(cfg, out, seed, jobs):
             states.append(layers.lagrangian_layer_iterate(lam, states[-1], limit))
         states = np.asarray(states)
         write_csv(os.path.join(out, "iterates.csv"), ["y", "v", "u"],
-                  [(i, *s) for i, s in enumerate(states)])
+                  [range(len(states)), *states.T])
         a1 = (1.0 - lam / limit[0]) / (1.0 + lam / limit[0])
         fixed = layers.lagrangian_layer_iterate(lam, limit, limit)
         result.update({
@@ -353,8 +390,6 @@ def task_layer(cfg, out, seed, jobs):
             if root_products else 0.0,
             "final_distance": float(np.linalg.norm(states[-1] - limit)),
         })
-    else:
-        raise SchemaError(f"unknown layer mode {mode!r}")
     write_json(os.path.join(out, "layer.json"), result)
     return result
 
@@ -373,7 +408,6 @@ def task_admissible(cfg, out, seed, jobs):
         "exclusions": list(adm.exclusion_set(model, u_B)),
         "layer_set_viscous": adm.layer_set_scalar(model, u_B, "viscous").as_json(),
     }
-    rows = []
     bln = adm.bln_check(model, grid, u_B)
     kru = adm.kruzkov_worst(model, grid, u_B) <= 1e-9
     visc = adm.layer_member_oracle(model, u_B, grid, "viscous")
@@ -382,10 +416,8 @@ def task_admissible(cfg, out, seed, jobs):
     if "oracle" in p:
         reg = _regularization(p, "oracle")
         columns["lf_layer"] = adm.layer_member_oracle(model, u_B, grid, reg)
-    header = ["u0"] + list(columns)
-    for i, x in enumerate(grid):
-        rows.append((float(x), *[int(columns[c][i]) for c in columns]))
-    write_csv(os.path.join(out, "membership.csv"), header, rows)
+    write_csv(os.path.join(out, "membership.csv"), ["u0", *columns],
+              [grid, *(np.asarray(c, dtype=int) for c in columns.values())])
     if p.get("audit", True):
         rep = adm.inclusion_audit(model, u_B, _regularization(p),
                                   n_samples=int(p.get("samples", 1000)), seed=seed)
@@ -404,7 +436,7 @@ def task_riemann(cfg, out, seed, jobs):
         states = [tuple(map(float, s)) for s in p["states"]]
         regions = [classify_euler_region(model, s) for s in states]
         write_csv(os.path.join(out, "regions.csv"), ["rho", "u", "region"],
-                  [(r, u, reg) for (r, u), reg in zip(states, regions)])
+                  [[r for r, _ in states], [u for _, u in states], regions])
         result["regions"] = regions
     else:
         if model.dimension == 1:
@@ -430,20 +462,18 @@ def task_study(cfg, out, seed, jobs):
     def solve(v):
         if param == "eps":
             return _run_scheme(model, cfg, override={"eps": v})
-        if param == "cells":
-            return _run_scheme(model, {**cfg, "grid": {**cfg["grid"], "cells": int(v)}})
-        raise SchemaError(f"unknown sweep parameter {param!r}")
+        return _run_scheme(model, {**cfg, "grid": {**cfg["grid"], "cells": int(v)}})
 
     rows, flags = diagnostics.convergence_study(
         model, solve, values, expected_trace=sweep.get("expected_trace"))
 
-    n_comp = np.atleast_1d(rows[0].trace).size
-    header = [param] + [f"trace{i + 1}" for i in range(n_comp)] \
+    traces = np.array([np.atleast_1d(r.trace) for r in rows], dtype=float).T
+    header = [param] + [f"trace{i + 1}" for i in range(len(traces))] \
         + ["trace_error", "entropy_residual", "bv_proxy"]
     write_csv(os.path.join(out, "study.csv"), header,
-              [(r.parameter, *np.atleast_1d(r.trace).tolist(),
-                "" if r.trace_error is None else r.trace_error,
-                r.entropy_residual, r.bv_proxy) for r in rows])
+              [[r.parameter for r in rows], *traces,
+               ["" if r.trace_error is None else r.trace_error for r in rows],
+               [r.entropy_residual for r in rows], [r.bv_proxy for r in rows]])
     summary = {"parameter": param, "values": values,
                "trace_errors": [r.trace_error for r in rows if r.trace_error is not None],
                "trace_error_decreasing": flags["trace_error_decreasing"]}
@@ -539,7 +569,10 @@ def list_examples(stream=None) -> int:
 # --- Entry point -------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser.  It is built on the first ``main`` call, not
+    at import, and reused by every later call in the process."""
     parser = argparse.ArgumentParser(
         prog="quarterplane",
         description="Boundary layers and admissible boundary sets for "
@@ -554,8 +587,11 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--jobs", type=int, default=1)
     sub.add_parser("list-examples")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "list-examples":
         return list_examples()
 
@@ -564,7 +600,9 @@ def main(argv=None) -> int:
         if not os.path.exists(path) and not os.path.sep in path:
             path = example_path(path)
         cfg = load_config(path)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = cfg.get("seed", 0) if args.seed is None else args.seed
+        if seed < 0:
+            raise SchemaError(f"--seed must be a non-negative integer, got {seed}")
         os.makedirs(args.out, exist_ok=True)
         if args.command == "verify":
             run_verify(cfg, args.out, seed, args.jobs)

@@ -1,7 +1,12 @@
+import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
+import types
 
+import numpy as np
 import pytest
 
 from quarterplane import cli
@@ -508,3 +513,120 @@ def test_study_jobs_matches_serial(tmp_path):
                          "--out", str(out), "--jobs", jobs]) == 0
         outs.append(read_artifacts(out))
     assert outs[0] == outs[1]
+
+
+def _bundled(name):
+    with open(cli.example_path(name)) as fh:
+        return json.load(fh)
+
+
+def _drop(cfg, section, key):
+    del cfg[section][key]
+    return cfg
+
+
+def _only_schema_error(cfg, tmp_path, capsys, argv=()):
+    """Run ``cfg`` and check it exits 2 with error.json as the only file."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([cfg["task"], "--config", str(path), "--out", str(out), *argv]) == 2
+    assert os.listdir(out) == ["error.json"]
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["error"] == "schema"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5, True, "1"],
+                         ids=["null", "negative", "float", "bool", "str"])
+def test_bad_config_seed_exit_2(seed, tmp_path, capsys):
+    _only_schema_error({**_bundled("thm41_burgers"), "seed": seed}, tmp_path, capsys)
+
+
+def test_negative_seed_flag_exit_2(tmp_path, capsys):
+    _only_schema_error(_bundled("thm41_burgers"), tmp_path, capsys, argv=["--seed", "-1"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _drop(_bundled("burgers_viscous_layer"), "data", "u_I"),
+    lambda: _drop(_bundled("burgers_viscous_layer"), "data", "u_B"),
+    lambda: _drop(_bundled("viscous_trace_study"), "sweep", "parameter"),
+    lambda: {**_bundled("viscous_trace_study"),
+             "sweep": {**_bundled("viscous_trace_study")["sweep"], "parameter": "lam"}},
+    lambda: {**_bundled("viscous_trace_study"),
+             "sweep": {**_bundled("viscous_trace_study")["sweep"], "values": ["a", 1]}},
+    lambda: _drop(_bundled("lagrangian_lf_layer"), "params", "lam"),
+    lambda: _drop(_bundled("lagrangian_lf_layer"), "params", "limit"),
+    lambda: {**_bundled("lagrangian_lf_layer"),
+             "params": {**_bundled("lagrangian_lf_layer")["params"], "steps": None}},
+    lambda: _drop(_bundled("elasto_layer_curve"), "params", "base"),
+    lambda: _drop(_bundled("elasto_layer_curve"), "params", "v_inf_range"),
+    lambda: {**_bundled("elasto_layer_curve"),
+             "params": {**_bundled("elasto_layer_curve")["params"], "mode": "curve"}},
+    lambda: _drop(_bundled("euler_regions"), "params", "states"),
+    lambda: {**_bundled("euler_regions"),
+             "params": {"mode": "euler-regions", "states": [[1.0, 0.0], [1.0]]}},
+], ids=["simulate-no-u_I", "simulate-no-u_B", "study-no-parameter", "study-parameter-lam",
+        "study-values-str", "lagrangian-no-lam", "lagrangian-no-limit", "lagrangian-steps-null",
+        "elasto-no-base", "elasto-no-v_inf_range", "layer-unknown-mode", "regions-no-states",
+        "regions-short-state"])
+def test_missing_required_field_exit_2(make, tmp_path, capsys):
+    _only_schema_error(make(), tmp_path, capsys)
+
+
+def test_cached_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["riemann", "--config"])
+    assert exc.value.code == 2
+    run = ["riemann", "--config", "euler_regions", "--out"]
+    assert cli.main(run + [str(tmp_path / "a")]) == 0
+    assert cli.main(["list-examples"]) == 0
+    assert cli.main(run + [str(tmp_path / "b")]) == 0
+    assert read_artifacts(tmp_path / "a") == read_artifacts(tmp_path / "b")
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("prog"))
+        return argparse.ArgumentParser(*args, **kwargs)
+
+    # argparse's own code looks its class up by module name, so count the
+    # constructions cli makes through its module reference
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counting))
+    cli._parser.cache_clear()
+    for tag in ("c", "d"):
+        assert cli.main(run + [str(tmp_path / tag)]) == 0
+    assert cli.main(["list-examples"]) == 0
+    assert len(built) == 1
+
+
+def test_parser_not_built_at_import():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(
+        cli.__file__)), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from quarterplane import cli; "
+         "assert cli._parser.cache_info().currsize == 0"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_write_csv_cell_format(tmp_path):
+    # floats as repr(float(v)), everything else as str(v), column by column
+    path = tmp_path / "cells.csv"
+    cli.write_csv(str(path), ["nd", "py", "np64", "int", "flag", "name", "err"], [
+        np.array([0.1, -0.0, 5e-324, 1e300, 1 / 3]),
+        [0.1, -0.0, 5e-324, 1e300, 1 / 3],
+        [np.float64(2.5), np.float64(-0.0), np.float64(1e-7), np.float64(-1e16), np.float64(1 / 3)],
+        np.arange(-2, 3) * 10 ** 6,
+        np.asarray([True, False, True, True, False], dtype=int),
+        ["I", "II", "III", "IV", "V"],
+        ["", 0.25, "", 2, ""],
+    ])
+    assert path.read_text() == (
+        "nd,py,np64,int,flag,name,err\n"
+        "0.1,0.1,2.5,-2000000,1,I,\n"
+        "-0.0,-0.0,-0.0,-1000000,0,II,0.25\n"
+        "5e-324,5e-324,1e-07,0,1,III,\n"
+        "1e+300,1e+300,-1e+16,1000000,1,IV,2\n"
+        "0.3333333333333333,0.3333333333333333,0.3333333333333333,2000000,0,V,\n")
