@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -22,15 +23,16 @@ import numpy as np
 
 from quarterplane import admissible as adm
 from quarterplane import diagnostics, layers, riemann, schemes
-from quarterplane.riemann import SolverFailure
-from quarterplane.schemes import CFLError
 from quarterplane.systems import UnsupportedModelError, classify_euler_region, make_model
 
 TASKS = ("simulate", "layer", "admissible", "riemann", "study")
 # The largest layer-profile horizon.  Near a stable limit the step of the
 # explicit integrator is bounded by its stability region, so the work of a
 # viscous profile, like that of an LF one, grows in proportion to y_max.
-_MAX_LAYER_Y = 1e5
+_MAX_LAYER_Y = 10 ** 5
+# The largest count a config may ask for: cells, snapshots, audit samples,
+# admissible grid points or recursion steps.
+MAX_COUNT = 10 ** 6
 
 
 class SchemaError(ValueError):
@@ -45,6 +47,8 @@ class VerificationError(RuntimeError):
 
 
 def load_config(path: str) -> dict:
+    """The config at ``path``, each field read once: checked for its kind and
+    range, defaulted and typed; with the built ``model`` and the raw ``expect``."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -52,137 +56,121 @@ def load_config(path: str) -> dict:
         raise SchemaError(f"config not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
-    validate_config(cfg)
-    return cfg
-
-
-def _require(cfg, key, types, ctx="config"):
-    if key not in cfg:
-        raise SchemaError(f"{ctx}: missing required field {key!r}")
-    if not isinstance(cfg[key], types):
-        raise SchemaError(f"{ctx}: field {key!r} has the wrong type")
-    return cfg[key]
-
-
-def _finite_number(x) -> bool:
-    """A JSON int or float that a float holds (no NaN, inf or huge int)."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
-
-
-def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
-    task = _require(cfg, "task", str)
-    if not task:
-        raise SchemaError("task must not be empty")
-    if task not in TASKS:
-        raise SchemaError(f"unknown task {task!r}; expected one of {TASKS}")
-    _count(cfg, "seed", "config")
-    model = _require(cfg, "model", dict)
-    _require(model, "name", str, "model")
+    task = _get(cfg, "task", one_of(*TASKS))
+    seed = _get(cfg, "seed", count(0, math.inf), 0)
+    m = _get(cfg, "model", json_object)
     try:
-        dimension = make_model(model["name"], **model.get("params", {})).dimension
+        model = make_model(_get(m, "name", str), **_get(m, "params", json_object, {}))
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"model: {exc}") from exc
-    if task in ("simulate", "study"):
-        scheme = _require(cfg, "scheme", dict)
-        stype = _require(scheme, "type", str, "scheme")
-        if stype not in ("viscous", "lf", "split", "godunov"):
-            raise SchemaError(f"scheme: unknown type {stype!r}")
-        grid = _require(cfg, "grid", dict)
-        if "snapshots" in grid:
-            _number(grid, "snapshots", "grid", integer=True)
-        data = _require(cfg, "data", dict)
-        for key in ("u_I", "u_B"):
-            _require(data, key, object, "data")
-    if task == "study":
-        sweep = _require(cfg, "sweep", dict)
-        if _require(sweep, "parameter", str, "sweep") not in ("eps", "cells"):
-            raise SchemaError(f"sweep: parameter must be \"eps\" or \"cells\", "
-                              f"got {sweep['parameter']!r}")
-        values = _require(sweep, "values", list, "sweep")
-        if not values or not all(map(_finite_number, values)):
-            raise SchemaError("sweep: values must be one or more finite numbers")
-        svals = sorted(values)
-        if svals != values and svals[::-1] != values:
-            raise SchemaError("sweep: values must be monotone")
-    if task in ("layer", "admissible", "riemann"):
-        params = _require(cfg, "params", dict)
-        mode = params.get("mode", "profile")
-        if task == "layer" and mode == "profile":
-            for key in ("u_B", "v_inf"):  # a finite number or a list of them
-                val = params.get(key)
-                if val == [] or not all(map(_finite_number, val if isinstance(val, list) else [val])):
-                    raise SchemaError(f"params: {key} must be a finite number or a list "
-                                      f"of finite numbers, got {val!r}")
-            reg = _check_regularization(params, "regularization")
-            # a layer coordinate (viscous) or a step count (LF)
-            if "y_max" in params and _number(params, "y_max", "params",
-                                             integer=reg != "viscous") > _MAX_LAYER_Y:
-                raise SchemaError(f"params: y_max must be at most {_MAX_LAYER_Y:g}, "
-                                  f"got {params['y_max']!r}")
-        elif task == "layer" and mode == "elasto-curve":
-            _state(params.get("base"), "base", 2)
-            vs = params.get("v_inf_range")
-            if not (isinstance(vs, list) and vs and all(map(_finite_number, vs))):
-                raise SchemaError(f"params: v_inf_range must be a non-empty list of finite "
-                                  f"numbers, got {vs!r}")
-        elif task == "layer" and mode == "lagrangian":
-            _number(params, "lam", "params")
-            _state(params.get("limit"), "limit", 2)
-            if "start" in params:
-                _state(params["start"], "start", 2)
-            _count(params, "steps", "params")
-        elif task == "layer":
-            raise SchemaError(f"unknown layer mode {mode!r}")
-        if task == "admissible":
-            grid = params.get("grid", [-3.0, 3.0, 241])
-            if not (_finite_number(params.get("u_B")) and isinstance(grid, list)
-                    and len(grid) == 3 and all(map(_finite_number, grid))):
-                raise SchemaError("params: u_B and grid [lo, hi, n] must be finite numbers")
-            if "samples" in params:
-                _number(params, "samples", "params", integer=True)
-            _check_regularization(params, "oracle")
-            _check_regularization(params, "regularization")
-        if task == "riemann" and mode == "euler-regions":
-            states = params.get("states")
-            if not isinstance(states, list):
-                raise SchemaError(f"params: states must be a list of (rho, u) pairs, "
-                                  f"got {states!r}")
-            for i, val in enumerate(states):
-                _state(val, f"states.{i}", 2)
-        elif task == "riemann":
-            _state(params.get("left"), "left", dimension)
-            _state(params.get("right"), "right", dimension)
+    return {"task": task, "seed": seed, "model": model, "expect": cfg.get("expect"),
+            **_FIELDS[task](cfg, model.dimension)}
 
 
-def _state(val, name, dimension):
-    """Check ``val`` is a state: a finite number for a scalar model, a list
-    of ``dimension`` finite numbers otherwise."""
-    state = [val] if dimension == 1 else val
-    if not (isinstance(state, list) and len(state) == dimension
-            and all(map(_finite_number, state))):
-        raise SchemaError(f"params: {name} is not a {dimension}-component state: {val!r}")
+def _get(section, key, kind, default=...):
+    """``kind(section[key])``, or ``default`` if the key is absent.  A kind,
+    such as those below, takes one JSON value and returns it typed, or
+    raises ValueError with a phrase naming what it expects; this raises a
+    SchemaError naming the field, also if it is absent with no default."""
+    if key not in section:
+        if default is ...:
+            raise SchemaError(f"missing required field {key!r}")
+        return default
+    val = section[key]
+    try:
+        return kind(val)
+    except SchemaError as exc:  # from a nested field
+        raise SchemaError(f"{key}: {exc}") from None
+    except ValueError as exc:
+        raise SchemaError(f"{key} must be {exc}, got {val!r}") from None
 
 
-def _count(section, key, ctx):
-    """Check section[key], if present, is a non-negative integer."""
-    val = section.get(key, 0)
-    if type(val) is not int or val < 0:
-        raise SchemaError(f"{ctx}: {key} must be a non-negative integer, got {val!r}")
+def json_object(x):
+    if isinstance(x, dict):
+        return x
+    raise ValueError("a JSON object")
 
 
-def _check_regularization(params, key):
-    """params[key] (default "viscous"), checked to be "viscous" or
-    {"type": "lf", "lam": ..., "q": ...} with finite positive lam and q."""
-    reg = params.get(key, "viscous")
-    if reg != "viscous":
-        if not (isinstance(reg, dict) and reg.get("type") == "lf"):
-            raise SchemaError(f'params: {key} must be "viscous" or '
-                              f'{{"type": "lf", "lam": ..., "q": ...}}, got {reg!r}')
-        _number(reg, "lam", key)
-        _number(reg, "q", key)
-    return reg
+def finite(x, what="a finite number"):
+    """A JSON int or float that a float holds (no bool, NaN, inf or huge int)."""
+    if type(x) in (int, float) and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise ValueError(what)
+
+
+def positive(x):
+    what = "a finite positive number"
+    if finite(x, what) > 0:
+        return float(x)
+    raise ValueError(what)
+
+
+def count(lo, hi=MAX_COUNT):
+    def read(x):
+        if type(x) is int and lo <= x <= hi:
+            return x
+        raise ValueError(f"an integer in [{lo}, {hi}]")
+    return read
+
+
+def listof(kind):
+    def read(x):
+        if not (isinstance(x, list) and x):
+            raise ValueError("a non-empty list")
+        try:
+            return [kind(v) for v in x]
+        except ValueError as exc:
+            raise ValueError(f"a non-empty list, each item {exc}") from None
+    return read
+
+
+def one_of(*choices):
+    def read(x):
+        if x in choices:
+            return x
+        raise ValueError("one of " + ", ".join(map(json.dumps, choices)))
+    return read
+
+
+def flag(x):
+    if type(x) is bool:
+        return x
+    raise ValueError("true or false")
+
+
+def state(dimension):
+    """A state: a number for a scalar model, a list of ``dimension``
+    numbers, read as an array, for a 2x2 one."""
+    if dimension == 1:
+        return finite
+    what = f"a list of {dimension} finite numbers"
+
+    def read(x):
+        if isinstance(x, list) and len(x) == dimension:
+            return np.array([finite(v, what) for v in x])
+        raise ValueError(what)
+    return read
+
+
+def regularization(x):
+    """"viscous", or {"type": "lf", "lam": ..., "q": ...} read as ("lf", lam, q)."""
+    if x == "viscous":
+        return x
+    if isinstance(x, dict) and x.get("type") == "lf":
+        return "lf", _get(x, "lam", positive), _get(x, "q", positive)
+    raise ValueError('"viscous" or {"type": "lf", "lam": ..., "q": ...}')
+
+
+def linspace(x):
+    """[lo, hi, n] read as the n points of np.linspace(lo, hi, n)."""
+    try:
+        if isinstance(x, list) and len(x) == 3:
+            return np.linspace(finite(x[0]), finite(x[1]), count(1)(x[2]))
+    except ValueError:
+        pass
+    raise ValueError(f"[lo, hi, n] with finite lo and hi and an integer n in [1, {MAX_COUNT}]")
 
 
 def _piecewise(table, dimension):
@@ -206,6 +194,78 @@ def _piecewise(table, dimension):
     return fn
 
 
+# scheme type -> the numbers its schemes.run_<type> reads from the config
+_SCHEME_NUMBERS = {"viscous": ("eps",), "lf": ("lam", "q"), "split": ("lam", "q"),
+                   "godunov": ("lam",)}
+
+
+def _scheme_fields(cfg, dimension):
+    """simulate and study: the scheme, its grid and its data."""
+    scheme, grid, data = (_get(cfg, key, json_object) for key in ("scheme", "grid", "data"))
+    stype = _get(scheme, "type", one_of(*_SCHEME_NUMBERS))
+    piecewise = functools.partial(_piecewise, dimension=dimension)
+    fields = {"scheme": stype, "cells": _get(grid, "cells", count(1)),
+              "x_max": _get(grid, "x_max", positive), "t_end": _get(grid, "t_end", positive),
+              "snapshots": _get(grid, "snapshots", count(1), 33),
+              "u_I": _get(data, "u_I", piecewise), "u_B": _get(data, "u_B", piecewise)}
+    for key in _SCHEME_NUMBERS[stype]:
+        fields[key] = _get(scheme, key, positive)
+    return fields
+
+
+def _study_fields(cfg, dimension):
+    sweep = _get(cfg, "sweep", json_object)
+    param = _get(sweep, "parameter", one_of("eps", "cells"))
+    values = _get(sweep, "values", listof(positive if param == "eps" else count(1)))
+    if sorted(values) not in (values, values[::-1]):
+        raise SchemaError("sweep: values must be monotone")
+    return {**_scheme_fields(cfg, dimension), "parameter": param, "values": values,
+            "expected_trace": _get(sweep, "expected_trace", state(dimension), None)}
+
+
+def _layer_fields(cfg, dimension):
+    p = _get(cfg, "params", json_object)
+    mode = _get(p, "mode", one_of("profile", "elasto-curve", "lagrangian"), "profile")
+    if mode == "elasto-curve":
+        return {"mode": mode, "base": _get(p, "base", state(2)),
+                "v_inf_range": _get(p, "v_inf_range", listof(finite))}
+    if mode == "lagrangian":
+        limit = _get(p, "limit", state(2))
+        return {"mode": mode, "lam": _get(p, "lam", positive), "limit": limit,
+                "start": _get(p, "start", state(2), limit),
+                "steps": _get(p, "steps", count(0), 50)}
+    reg = _get(p, "regularization", regularization, "viscous")
+    # a layer coordinate (viscous) or a step count (LF)
+    y_max = _get(p, "y_max", *((positive, 200.0) if reg == "viscous" else (count(1), 500)))
+    if y_max > _MAX_LAYER_Y:
+        raise SchemaError(f"y_max must be at most {_MAX_LAYER_Y}, got {y_max!r}")
+    return {"mode": mode, "regularization": reg, "y_max": y_max,
+            "u_B": _get(p, "u_B", state(dimension)),
+            "v_inf": _get(p, "v_inf", state(dimension))}
+
+
+def _admissible_fields(cfg, dimension):
+    p = _get(cfg, "params", json_object)
+    return {"u_B": _get(p, "u_B", finite),
+            "grid": _get(p, "grid", linspace, linspace([-3.0, 3.0, 241])),
+            "oracle": _get(p, "oracle", regularization, None),
+            "audit": _get(p, "audit", flag, True), "samples": _get(p, "samples", count(1), 1000),
+            "regularization": _get(p, "regularization", regularization, "viscous")}
+
+
+def _riemann_fields(cfg, dimension):
+    p = _get(cfg, "params", json_object)
+    mode = _get(p, "mode", one_of("euler-regions"), None)
+    if mode:
+        return {"mode": mode, "states": _get(p, "states", listof(state(2)))}
+    return {"mode": mode, "left": _get(p, "left", state(dimension)),
+            "right": _get(p, "right", state(dimension))}
+
+
+_FIELDS = {"simulate": _scheme_fields, "layer": _layer_fields,
+           "admissible": _admissible_fields, "riemann": _riemann_fields, "study": _study_fields}
+
+
 # --- Serialization -----------------------------------------------------------
 
 
@@ -216,12 +276,8 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -265,51 +321,30 @@ def _atomic_write(path: str, text: str) -> None:
 # --- Task handlers -----------------------------------------------------------
 
 
-def _build_model(cfg):
-    m = cfg["model"]
-    return make_model(m["name"], **m.get("params", {}))
+def _write(out, name, result, csv=()):
+    """Write ``result`` to the JSON artifact ``name``, then ``csv`` = (name,
+    header, columns), if given.  Handlers compute all first, and the strict
+    JSON check is the last that can fail, so a failed run leaves only error.json."""
+    write_json(os.path.join(out, name), result)
+    if csv:
+        write_csv(os.path.join(out, csv[0]), *csv[1:])
+    return result
 
 
-def _number(section, key, ctx, integer=False):
-    """section[key] if it is a finite positive number (a positive integer
-    if ``integer``); a SchemaError if it is missing or anything else."""
-    val = section.get(key)
-    if not (_finite_number(val) and val > 0) or (integer and type(val) is not int):
-        kind = "integer" if integer else "number"
-        raise SchemaError(f"{ctx}: {key} must be a finite positive {kind}, got {val!r}")
-    return val
+def _run_scheme(cfg, **override):
+    c = {**cfg, **override}
+    run = getattr(schemes, "run_" + c["scheme"])
+    return run(c["model"], c["u_I"], c["u_B"], h=c["x_max"] / c["cells"], t_end=c["t_end"],
+               n_cells=c["cells"], n_snapshots=c["snapshots"],
+               **{key: c[key] for key in _SCHEME_NUMBERS[c["scheme"]]})
 
 
-def _run_scheme(model, cfg, override=None):
-    scheme = dict(cfg["scheme"])
-    if override:
-        scheme.update(override)
-    grid = cfg["grid"]
-    data = cfg["data"]
-    u0 = _piecewise(data["u_I"], model.dimension)
-    u_B = _piecewise(data["u_B"], model.dimension)
-    n_cells = _number(grid, "cells", "grid", integer=True)
-    h = float(_number(grid, "x_max", "grid")) / n_cells
-    common = dict(h=h, t_end=float(_number(grid, "t_end", "grid")), n_cells=n_cells,
-                  n_snapshots=grid.get("snapshots", 33))
-    stype = scheme["type"]
-    if stype == "viscous":
-        return schemes.run_viscous(model, u0, u_B, eps=float(_number(scheme, "eps", "scheme")),
-                                   **common)
-    lam = float(_number(scheme, "lam", "scheme"))
-    if stype == "godunov":
-        return schemes.run_godunov(model, u0, u_B, lam=lam, **common)
-    run = schemes.run_lf if stype == "lf" else schemes.run_split
-    return run(model, u0, u_B, lam=lam, q=float(_number(scheme, "q", "scheme")), **common)
-
-
-def task_simulate(cfg, out, seed, jobs):
-    model = _build_model(cfg)
-    sol = _run_scheme(model, cfg)
+def task_simulate(cfg, out):
+    model = cfg["model"]
+    sol = _run_scheme(cfg)
     rep = diagnostics.extract_boundary_trace(model, sol)
     final = sol.final.reshape(len(sol.xs), -1).T
     names = ["u"] if sol.final.ndim == 1 else [f"u{i + 1}" for i in range(len(final))]
-    write_csv(os.path.join(out, "final.csv"), ["x", *names], [sol.xs, *final])
     summary = {
         "scheme": sol.scheme,
         "model": sol.model_name,
@@ -321,39 +356,25 @@ def task_simulate(cfg, out, seed, jobs):
         "bv_proxy": rep.bv_proxy,
         "oscillation_suspected": rep.oscillation_suspected,
     }
-    write_json(os.path.join(out, "trace.json"), summary)
-    return summary
+    return _write(out, "trace.json", summary, ("final.csv", ["x", *names], [sol.xs, *final]))
 
 
-def _regularization(params, key="regularization"):
-    """The library form of a regularization that validate_config checked."""
-    reg = params.get(key, "viscous")
-    return "viscous" if reg == "viscous" else ("lf", float(reg["lam"]), float(reg["q"]))
-
-
-def task_layer(cfg, out, seed, jobs):
-    model = _build_model(cfg)
-    p = cfg["params"]
-    mode = p.get("mode", "profile")
+def task_layer(cfg, out):
+    model, mode = cfg["model"], cfg["mode"]
     result = {"model": model.name, "mode": mode}
 
     if mode == "profile":
-        reg = _regularization(p)
-        u_B = p["u_B"]
-        v_inf = p["v_inf"]
+        reg, u_B, v_inf = cfg["regularization"], cfg["u_B"], cfg["v_inf"]
         if reg == "viscous":
-            prof = layers.viscous_layer_profile(model, u_B, v_inf,
-                                                y_max=float(p.get("y_max", 200.0)))
+            prof = layers.viscous_layer_profile(model, u_B, v_inf, y_max=cfg["y_max"])
         else:
-            prof = layers.discrete_layer_membership(model, reg, u_B, v_inf,
-                                                    y_max=int(p.get("y_max", 500)))
+            prof = layers.discrete_layer_membership(model, reg, u_B, v_inf, y_max=cfg["y_max"])
         states = prof.states.reshape(len(prof.ys), -1).T
         names = ["v"] if prof.states.ndim == 1 else [f"v{i + 1}" for i in range(len(states))]
-        write_csv(os.path.join(out, "profile.csv"), ["y", *names], [prof.ys, *states])
+        csv = "profile.csv", ["y", *names], [prof.ys, *states]
         result.update({"verdict": prof.verdict,
                        "distance_at_horizon": prof.distance_at_horizon})
-        rep = layers.manifold_report(model, reg, np.atleast_1d(u_B),
-                                     np.atleast_1d(v_inf))
+        rep = layers.manifold_report(model, reg, np.atleast_1d(u_B), np.atleast_1d(v_inf))
         result["manifold"] = {
             "p": rep.p, "stable_dim": rep.stable_dim, "mismatch": rep.mismatch,
             "amplification": np.sort(rep.amplification),
@@ -361,26 +382,20 @@ def task_layer(cfg, out, seed, jobs):
             "predicate_residuals": rep.predicate_residuals,
         }
     elif mode == "elasto-curve":
-        base = p["base"]
-        vs = np.asarray(p["v_inf_range"], dtype=float)
-        curve = layers.elasto_layer_curve(model, base, vs)
-        write_csv(os.path.join(out, "curve.csv"), ["v_inf", "u_inf"], curve.points.T)
+        curve = layers.elasto_layer_curve(model, cfg["base"], np.asarray(cfg["v_inf_range"]))
+        csv = "curve.csv", ["v_inf", "u_inf"], curve.points.T
         result.update({"base": curve.base_point, "tangent": curve.tangent,
                        "points": curve.points})
     else:  # "lagrangian"
-        lam = float(p["lam"])
-        limit = np.asarray(p["limit"], dtype=float)
-        state = np.asarray(p.get("start", limit), dtype=float)
-        n_steps = int(p.get("steps", 50))
-        states = [state]
+        lam, limit = cfg["lam"], cfg["limit"]
+        states = [cfg["start"]]
         root_products = []
-        for _ in range(n_steps):
+        for _ in range(cfg["steps"]):
             r1, r2 = layers.lagrangian_quadratic_roots(lam, states[-1], limit)
             root_products.append(r1 * r2)
             states.append(layers.lagrangian_layer_iterate(lam, states[-1], limit))
         states = np.asarray(states)
-        write_csv(os.path.join(out, "iterates.csv"), ["y", "v", "u"],
-                  [range(len(states)), *states.T])
+        csv = "iterates.csv", ["y", "v", "u"], [range(len(states)), *states.T]
         a1 = (1.0 - lam / limit[0]) / (1.0 + lam / limit[0])
         fixed = layers.lagrangian_layer_iterate(lam, limit, limit)
         result.update({
@@ -390,16 +405,11 @@ def task_layer(cfg, out, seed, jobs):
             if root_products else 0.0,
             "final_distance": float(np.linalg.norm(states[-1] - limit)),
         })
-    write_json(os.path.join(out, "layer.json"), result)
-    return result
+    return _write(out, "layer.json", result, csv)
 
 
-def task_admissible(cfg, out, seed, jobs):
-    model = _build_model(cfg)
-    p = cfg["params"]
-    u_B = float(p["u_B"])
-    lo, hi, n = p.get("grid", (-3.0, 3.0, 241))
-    grid = np.linspace(lo, hi, int(n))
+def task_admissible(cfg, out):
+    model, u_B, grid = cfg["model"], cfg["u_B"], cfg["grid"]
     rset = adm.riemann_set_scalar(model, u_B)
     result = {
         "model": model.name,
@@ -408,77 +418,60 @@ def task_admissible(cfg, out, seed, jobs):
         "exclusions": list(adm.exclusion_set(model, u_B)),
         "layer_set_viscous": adm.layer_set_scalar(model, u_B, "viscous").as_json(),
     }
-    bln = adm.bln_check(model, grid, u_B)
-    kru = adm.kruzkov_worst(model, grid, u_B) <= 1e-9
-    visc = adm.layer_member_oracle(model, u_B, grid, "viscous")
-    columns = {"bln": bln, "kruzkov": kru, "viscous_layer": visc,
+    columns = {"bln": adm.bln_check(model, grid, u_B),
+               "kruzkov": adm.kruzkov_worst(model, grid, u_B) <= 1e-9,
+               "viscous_layer": adm.layer_member_oracle(model, u_B, grid, "viscous"),
                "riemann_closed_form": rset.member_grid(grid)}
-    if "oracle" in p:
-        reg = _regularization(p, "oracle")
-        columns["lf_layer"] = adm.layer_member_oracle(model, u_B, grid, reg)
-    write_csv(os.path.join(out, "membership.csv"), ["u0", *columns],
-              [grid, *(np.asarray(c, dtype=int) for c in columns.values())])
-    if p.get("audit", True):
-        rep = adm.inclusion_audit(model, u_B, _regularization(p),
-                                  n_samples=int(p.get("samples", 1000)), seed=seed)
+    if cfg["oracle"] is not None:
+        columns["lf_layer"] = adm.layer_member_oracle(model, u_B, grid, cfg["oracle"])
+    if cfg["audit"]:
+        rep = adm.inclusion_audit(model, u_B, cfg["regularization"],
+                                  n_samples=cfg["samples"], seed=cfg["seed"])
         result["audit"] = {"n_samples": rep.n_samples,
-                          "n_layer_members": rep.n_layer_members,
-                          "violations": list(rep.violations), "seed": seed}
-    write_json(os.path.join(out, "admissible.json"), result)
-    return result
+                           "n_layer_members": rep.n_layer_members,
+                           "violations": list(rep.violations), "seed": cfg["seed"]}
+    return _write(out, "admissible.json", result, (
+        "membership.csv", ["u0", *columns],
+        [grid, *(np.asarray(c, dtype=int) for c in columns.values())]))
 
 
-def task_riemann(cfg, out, seed, jobs):
-    model = _build_model(cfg)
-    p = cfg["params"]
+def task_riemann(cfg, out):
+    model = cfg["model"]
     result = {"model": model.name}
-    if p.get("mode") == "euler-regions":
-        states = [tuple(map(float, s)) for s in p["states"]]
-        regions = [classify_euler_region(model, s) for s in states]
-        write_csv(os.path.join(out, "regions.csv"), ["rho", "u", "region"],
-                  [[r for r, _ in states], [u for _, u in states], regions])
-        result["regions"] = regions
+    csv = ()
+    if cfg["mode"] == "euler-regions":
+        result["regions"] = [classify_euler_region(model, s) for s in cfg["states"]]
+        csv = ("regions.csv", ["rho", "u", "region"],
+               [*np.transpose(cfg["states"]), result["regions"]])
     else:
-        if model.dimension == 1:
-            fan = riemann.scalar_riemann_trace(model, p["left"], p["right"])
-        else:
-            fan = riemann.psystem_riemann_trace(model, p["left"], p["right"])
+        fan = (riemann.scalar_riemann_trace if model.dimension == 1
+               else riemann.psystem_riemann_trace)(model, cfg["left"], cfg["right"])
         result.update({
             "trace": fan.trace_at_zero_plus,
             "flux_at_zero": fan.flux_at_zero,
             "waves": [{"kind": w.kind, "left": w.left, "right": w.right,
                        "speed_range": list(w.speed_range)} for w in fan.waves],
         })
-    write_json(os.path.join(out, "riemann.json"), result)
-    return result
+    return _write(out, "riemann.json", result, csv)
 
 
-def task_study(cfg, out, seed, jobs):
-    model = _build_model(cfg)
-    sweep = cfg["sweep"]
-    param = sweep["parameter"]
-    values = [float(v) for v in sweep["values"]]
-
-    def solve(v):
-        if param == "eps":
-            return _run_scheme(model, cfg, override={"eps": v})
-        return _run_scheme(model, {**cfg, "grid": {**cfg["grid"], "cells": int(v)}})
-
+def task_study(cfg, out):
+    param = cfg["parameter"]
     rows, flags = diagnostics.convergence_study(
-        model, solve, values, expected_trace=sweep.get("expected_trace"))
+        cfg["model"], lambda v: _run_scheme(cfg, **{param: v}), cfg["values"],
+        expected_trace=cfg["expected_trace"])
 
     traces = np.array([np.atleast_1d(r.trace) for r in rows], dtype=float).T
     header = [param] + [f"trace{i + 1}" for i in range(len(traces))] \
         + ["trace_error", "entropy_residual", "bv_proxy"]
-    write_csv(os.path.join(out, "study.csv"), header,
-              [[r.parameter for r in rows], *traces,
-               ["" if r.trace_error is None else r.trace_error for r in rows],
-               [r.entropy_residual for r in rows], [r.bv_proxy for r in rows]])
-    summary = {"parameter": param, "values": values,
+    summary = {"parameter": param, "values": [float(v) for v in cfg["values"]],
                "trace_errors": [r.trace_error for r in rows if r.trace_error is not None],
                "trace_error_decreasing": flags["trace_error_decreasing"]}
-    write_json(os.path.join(out, "study.json"), summary)
-    return summary
+    return _write(out, "study.json", summary, (
+        "study.csv", header,
+        [[r.parameter for r in rows], *traces,
+         ["" if r.trace_error is None else r.trace_error for r in rows],
+         [r.entropy_residual for r in rows], [r.bv_proxy for r in rows]]))
 
 
 HANDLERS = {
@@ -508,11 +501,11 @@ def _lookup(result, path):
     return cur
 
 
-def run_verify(cfg, out, seed, jobs):
-    expect = cfg.get("expect")
+def run_verify(cfg, out):
+    expect = cfg["expect"]
     if not isinstance(expect, list) or not expect:
         raise SchemaError("verify requires a non-empty 'expect' list in the config")
-    result = HANDLERS[cfg["task"]](cfg, out, seed, jobs)
+    result = HANDLERS[cfg["task"]](cfg, out)
     result = _jsonify(result)
     failures = []
     for check in expect:
@@ -585,7 +578,7 @@ def _parser() -> argparse.ArgumentParser:
                             "a bundled example")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     sub.add_parser("list-examples")
     return parser
 
@@ -600,23 +593,23 @@ def main(argv=None) -> int:
         if not os.path.exists(path) and not os.path.sep in path:
             path = example_path(path)
         cfg = load_config(path)
-        seed = cfg.get("seed", 0) if args.seed is None else args.seed
-        if seed < 0:
-            raise SchemaError(f"--seed must be a non-negative integer, got {seed}")
+        if args.seed is not None:
+            cfg["seed"] = _get(vars(args), "seed", count(0, math.inf))
         os.makedirs(args.out, exist_ok=True)
         if args.command == "verify":
-            run_verify(cfg, args.out, seed, args.jobs)
+            run_verify(cfg, args.out)
         else:
             if cfg["task"] != args.command:
                 raise SchemaError(
                     f"config task {cfg['task']!r} does not match subcommand {args.command!r}")
-            HANDLERS[args.command](cfg, args.out, seed, args.jobs)
+            HANDLERS[args.command](cfg, args.out)
         return 0
     except (SchemaError, UnsupportedModelError) as exc:
         _error_report(args.out, "schema", exc)
         return 2
-    except (CFLError, SolverFailure, VerificationError, RuntimeError,
-            FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
+    # ValueError includes CFLError and LinAlgError; RuntimeError includes
+    # SolverFailure and VerificationError
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         _error_report(args.out, "numerical", exc)
         return 3
 

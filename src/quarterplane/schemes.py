@@ -123,6 +123,10 @@ def _start(model, u0, u_B, h, n_cells, pinned):
     return xs, ub, cells, _data_speed(model, cells, ub(0.0))
 
 
+# The most cell updates (steps x cells) a run may take; the heaviest runs take ~1e6.
+MAX_CELL_UPDATES = 1e9
+
+
 def _march(model, scheme, faces, xs, ub, cells, *, h, tau, ratio, n_steps, pinned,
            n_snapshots, store_all, implicit=None, **fields):
     """The time loop shared by all schemes: u -= ratio (g_{j+1/2} - g_{j-1/2})
@@ -133,7 +137,10 @@ def _march(model, scheme, faces, xs, ub, cells, *, h, tau, ratio, n_steps, pinne
     by slicing, so each face costs one flux evaluation, not two.
     ``implicit(cells, u_B)``, if given, then completes the step in place
     with u_B at the new time and returns the flux it adds at the first
-    face."""
+    face.  A run of more than MAX_CELL_UPDATES raises ValueError."""
+    if n_steps * len(cells) > MAX_CELL_UPDATES:
+        raise ValueError(f"{scheme}: {n_steps:.3g} steps of {len(cells)} cells exceed "
+                         f"{MAX_CELL_UPDATES:.3g} cell updates")
     first = 1 if pinned else 0  # cells[first:] are updated and carry the mass
     ext = np.empty((cells.shape[0] + 2 - first,) + cells.shape[1:])
     ext[1 - first:-1] = cells

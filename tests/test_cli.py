@@ -630,3 +630,69 @@ def test_write_csv_cell_format(tmp_path):
         "5e-324,5e-324,1e-07,0,1,III,\n"
         "1e+300,1e+300,-1e+16,1000000,1,IV,2\n"
         "0.3333333333333333,0.3333333333333333,0.3333333333333333,2000000,0,V,\n")
+
+
+def _set(name, path, value):
+    """The bundled config ``name`` with the field at the dotted ``path``
+    (list indices as numbers) set to ``value``."""
+    cfg = _bundled(name)
+    *head, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    section = cfg
+    for key in head:
+        section = section[key]
+    section[last] = value
+    return cfg
+
+
+_CONTRACT_CASES = {
+    # counts out of range or of the wrong kind, and a non-boolean flag: exit 2
+    "grid-n-negative": (2, lambda: _set("thm41_burgers", "params.grid.2", -5)),
+    "grid-n-float": (2, lambda: _set("thm41_burgers", "params.grid.2", 2.5)),
+    "grid-n-zero": (2, lambda: _set("thm41_burgers", "params.grid.2", 0)),
+    "grid-n-1e300": (2, lambda: _set("thm41_burgers", "params.grid.2", 1e300)),
+    "grid-n-1e9": (2, lambda: _set("thm41_burgers", "params.grid.2", 10 ** 9)),
+    "samples-1e12": (2, lambda: _set("thm41_burgers", "params.samples", 10 ** 12)),
+    "cells-1e12": (2, lambda: _set("burgers_viscous_layer", "grid.cells", 10 ** 12)),
+    "lagrangian-steps-1e9": (2, lambda: _set("lagrangian_lf_layer", "params.steps", 10 ** 9)),
+    "burgers-profile-u_B-list": (2, lambda: {
+        "task": "layer", "model": {"name": "burgers"},
+        "params": {"mode": "profile", "u_B": [1, 5], "v_inf": -2.0}}),
+    "audit-str": (2, lambda: _set("thm41_burgers", "params.audit", "no")),
+    # arithmetic errors: exit 3
+    "euler-gamma-1e300": (3, lambda: _set("euler_regions", "model.params.gamma", 1e300)),
+    "linear2-u_B0-1e300": (3, lambda: _set("linear2_wrong_viscosity", "params.u_B.0", 1e300)),
+    "linear2-u_B1-1e300": (3, lambda: _set("linear2_wrong_viscosity", "params.u_B.1", 1e300)),
+    "linear2-v_inf0-1e300": (3, lambda: _set("linear2_wrong_viscosity", "params.v_inf.0", 1e300)),
+    "linear2-v_inf1-1e300": (3, lambda: _set("linear2_wrong_viscosity", "params.v_inf.1", 1e300)),
+    # more cell updates than a scheme run may take: exit 3
+    "simulate-t_end-1e300": (3, lambda: _set("burgers_viscous_layer", "grid.t_end", 1e300)),
+    "study-t_end-1e300": (3, lambda: _set("viscous_trace_study", "grid.t_end", 1e300)),
+    "simulate-t_end-1e4": (3, lambda: _set("burgers_viscous_layer", "grid.t_end", 1e4)),
+    "study-t_end-1e4": (3, lambda: _set("viscous_trace_study", "grid.t_end", 1e4)),
+    # a non-finite result fails the strict-JSON check before any CSV is written: exit 3
+    "simulate-eps-1e300": (3, lambda: _set("burgers_viscous_layer", "scheme.eps", 1e300)),
+    "elasto-base-1e300": (3, lambda: _set("elasto_layer_curve", "params.base.0", 1e300)),
+    "lagrangian-limit-1e300": (3, lambda: _set("lagrangian_lf_layer", "params.limit.0", 1e300)),
+    "study-values-1e300": (3, lambda: _set("viscous_trace_study", "sweep.values.0", 1e300)),
+}
+
+
+@pytest.mark.parametrize("code, make", list(_CONTRACT_CASES.values()), ids=list(_CONTRACT_CASES))
+def test_bad_input_leaves_only_error_json(code, make, tmp_path):
+    cfg = make()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    # a command-line run, whose exit code and stderr are what a user sees;
+    # numpy's overflow warnings stay warnings there
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(
+        cli.__file__)), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quarterplane.cli", cfg["task"], "--config", str(path),
+         "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert os.listdir(out) == ["error.json"]
+    with open(out / "error.json") as fh:
+        assert json.load(fh)["error"] == ("schema" if code == 2 else "numerical")
+    assert "Traceback" not in proc.stderr
