@@ -608,19 +608,21 @@ def main(argv=None) -> int:
         _error_report(args.out, "schema", exc)
         return 2
     # ValueError includes CFLError and LinAlgError; RuntimeError includes
-    # SolverFailure and VerificationError
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    # SolverFailure and VerificationError; RuntimeWarning is raised under -W error
+    except (ValueError, RuntimeError, ArithmeticError, RuntimeWarning) as exc:
         _error_report(args.out, "numerical", exc)
         return 3
 
 
 def _error_report(out, kind, exc):
-    payload = {"error": kind, "message": str(exc)}
+    # the type names what "float division by zero" alone does not
+    numeric = isinstance(exc, (ArithmeticError, Warning))
+    message = f"{type(exc).__name__}: {exc}" if numeric else str(exc)
     try:
-        write_json(os.path.join(out, "error.json"), payload)
+        write_json(os.path.join(out, "error.json"), {"error": kind, "message": message})
     except OSError:
         pass
-    print(f"error ({kind}): {exc}", file=sys.stderr)
+    print(f"error ({kind}): {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -78,19 +78,12 @@ class GridSolution:
 def _as_boundary(u_B, dimension):
     if callable(u_B):
         return u_B
-    if dimension == 1:
-        val = float(u_B)
-        return lambda t: val
-    val = np.asarray(u_B, dtype=float)
+    val = float(u_B) if dimension == 1 else np.asarray(u_B, dtype=float)
     return lambda t: val
 
 
 def _initial_cells(model, u0, xs):
-    if callable(u0):
-        vals = u0(xs)
-    else:
-        vals = u0
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(u0(xs) if callable(u0) else u0, dtype=float)
     if model.dimension == 1:
         if vals.ndim == 0:
             vals = np.full(xs.shape, float(vals))
@@ -108,14 +101,14 @@ def _data_speed(model, cells, ub_val):
 def _snapshot_steps(n_steps, n_snapshots):
     if n_steps == 0:
         return np.array([0])
-    idx = np.unique(np.round(np.linspace(0, n_steps, min(n_snapshots, n_steps + 1))).astype(int))
-    return idx
+    return np.unique(np.round(np.linspace(0, n_steps, min(n_snapshots, n_steps + 1))).astype(int))
 
 
 def _start(model, u0, u_B, h, n_cells, pinned):
-    """Cell centers, boundary function, initial cells (cell 0 pinned to
-    u_B(0) if asked) and the largest characteristic speed of the data."""
-    xs = (np.arange(n_cells) + 0.5) * h
+    """Centers of ``n_cells`` cells (200 if not given), the boundary
+    function, the initial cells (cell 0 pinned to u_B(0) if asked) and the
+    largest characteristic speed of the data."""
+    xs = (np.arange(n_cells or 200) + 0.5) * h
     ub = _as_boundary(u_B, model.dimension)
     cells = _initial_cells(model, u0, xs)
     if pinned:
@@ -146,30 +139,29 @@ def _march(model, scheme, faces, xs, ub, cells, *, h, tau, ratio, n_steps, pinne
     ext[1 - first:-1] = cells
     cells = ext[1 - first:-1]  # a view: updating the cells updates ext
     snap_idx = set(_snapshot_steps(n_steps, n_snapshots).tolist())
-    ub_new = np.asarray(ub(0.0), dtype=float)
+    # [()]: a scalar model's u_B is a numpy scalar, whose arithmetic costs less than a 0-d array's
+    ub_new = np.asarray(ub(0.0), dtype=float)[()]
     snaps = [cells.copy()] if 0 in snap_idx else []
     snap_times = [0.0] if 0 in snap_idx else []
     ub_samples = [ub_new] if 0 in snap_idx else []
     history = [cells.copy()] if store_all else None
 
     mass0 = np.atleast_1d(np.sum(cells[first:], axis=0))
-    g_left_int = np.zeros_like(mass0, dtype=float)
-    g_right_int = np.zeros_like(g_left_int)
+    # the flux through the first and the last face, and its time integral
+    g_ends, g_ends_int = np.empty((2,) + mass0.shape), np.zeros((2,) + mass0.shape)
 
     for n in range(1, n_steps + 1):
-        ub_old, ub_new = ub_new, np.asarray(ub(n * tau), dtype=float)
+        ub_old, ub_new = ub_new, np.asarray(ub(n * tau), dtype=float)[()]
         if not pinned:
             ext[0] = 2.0 * ub_old - cells[0]
         ext[-1] = cells[-1]
         g = faces(ext)  # g[0] at the first updated cell's left face
         cells[first:] -= ratio * (g[1:] - g[:-1])
-        g_left = g[0]
-        if implicit is not None:
-            g_left = g_left + implicit(cells, ub_new)
+        g_ends[0] = g[0] if implicit is None else g[0] + implicit(cells, ub_new)
+        g_ends[1] = g[-1]
         if pinned:
             cells[0] = ub_new
-        g_left_int += tau * np.atleast_1d(g_left)
-        g_right_int += tau * np.atleast_1d(g[-1])
+        g_ends_int += tau * g_ends
         if store_all:
             history.append(cells.copy())
         if n in snap_idx:
@@ -181,7 +173,7 @@ def _march(model, scheme, faces, xs, ub, cells, *, h, tau, ratio, n_steps, pinne
         scheme=scheme, model_name=model.name, xs=xs, h=h, tau=tau,
         times=np.asarray(snap_times), snapshots=np.asarray(snaps),
         mass_initial=mass0 * h, mass_final=np.atleast_1d(np.sum(cells[first:], axis=0)) * h,
-        flux_time_integral_left=g_left_int, flux_time_integral_right=g_right_int,
+        flux_time_integral_left=g_ends_int[0], flux_time_integral_right=g_ends_int[1],
         history=np.asarray(history) if store_all else None,
         boundary_samples=np.asarray(ub_samples), **fields,
     )
@@ -258,7 +250,6 @@ def run_lf(model: SystemModel, u0, u_B, *, h, lam, q, t_end,
     """Lax-Friedrichs-type scheme with numerical viscosity Q/lam."""
     if not 0.0 < q < 1.0:
         raise CFLError("q must lie in (0, 1)")
-    n_cells = n_cells or 200
     coeff = q / lam
 
     def faces(ext):
@@ -279,7 +270,6 @@ def run_split(model: SystemModel, u0, u_B, *, h, lam, q=None, t_end,
     equals the Lax-Friedrichs-type flux identically.  A user-supplied
     ``splitting = (f_minus, f_plus)`` is validated against f = f^- + f^+.
     """
-    n_cells = n_cells or 200
     if splitting is None:
         if q is None or not 0.0 < q < 1.0:
             raise CFLError("q must lie in (0, 1)")
@@ -307,7 +297,6 @@ def run_godunov(model: SystemModel, u0, u_B, *, h, lam, t_end,
                 n_cells=None, n_snapshots=33, store_all=False) -> GridSolution:
     if model.dimension != 1:
         raise UnsupportedModelError("run_godunov supports scalar models")
-    n_cells = n_cells or 200
 
     crit, f_crit = _critical_values(model)
 
@@ -328,42 +317,50 @@ def _implicit_diffusion(b, eps, tau, h, n_cells):
         (1 + 3 mu) x_0 - mu x_1                      = u*_0 + 2 mu u_B,
         -mu x_{j-1} + (1 + 2 mu) x_j - mu x_{j+1}    = u*_j,
         -mu x_{M-2} + (1 + mu) x_{M-1}               = u*_{M-1},
-    mu = eps b_k tau / h^2: a symmetric positive-definite matrix, factored
-    once; components with equal b_k share one solve.
+    mu = eps b_k tau / h^2: a symmetric positive-definite matrix.
 
-    The returned step overwrites u* with u* + mu (D_{j+1/2} - D_{j-1/2}),
-    D the face differences of x (D = 2 (x_0 - u_B) at the first face, 0 at
-    the last).  That equals x up to the solver's residual but conserves
-    mass to rounding, which x alone does not when mu is large.  It returns
+    Built once per run: each component's factors; the buffers x, one
+    contiguous row per component that LAPACK pttrs solves in place, and D,
+    the face differences of x per component (0 at the copy ghost's face),
+    with their slices; and the coefficients.  Each step copies u* into x,
+    adds 2 mu u_B to its first column, solves, and overwrites u* with
+    u* + mu (D_{j+1/2} - D_{j-1/2}), D = 2 (x_0 - u_B) at the first face.
+    That equals x up to the solver's residual but conserves mass to
+    rounding, which x alone does not when mu is large.  The step returns
     the diffusive flux -2 eps b (x_0 - u_B) / h through the first face."""
     from scipy.linalg import lapack
 
     mu = eps * b * tau / (h * h)
+    two_mu, mu_col, flux_coeff = 2.0 * mu, mu[:, None], -(eps * b / h)
+    x = np.empty((mu.size, n_cells))
+    diff = np.zeros((mu.size, n_cells + 1))
     solves = []
-    for mu_k in np.unique(mu):
+    for k, mu_k in enumerate(mu):
         diag = np.full(n_cells, 1.0 + 2.0 * mu_k)
         diag[0] += mu_k
         diag[-1] -= mu_k
         # pttrf wants a non-empty off-diagonal even for a single cell
-        d, e, info = lapack.dpttrf(diag, np.full(max(n_cells - 1, 1), -mu_k))
+        d_k, e_k, info = lapack.dpttrf(diag, np.full(max(n_cells - 1, 1), -mu_k))
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"implicit diffusion matrix is not positive definite (mu = {mu_k:.3g})")
-        solves.append((np.flatnonzero(mu == mu_k), d, e))
+        solves.append((d_k, e_k, x[k]))
+    x_first, x_right, x_left = x[:, 0], x[:, 1:], x[:, :-1]
+    d_first, d_inner, d_right, d_left = diff[:, 0], diff[:, 1:-1], diff[:, 1:], diff[:, :-1]
 
     def step(cells, u_B):
-        u = cells.reshape(n_cells, -1)  # a view, also for scalar cells
-        u_B = u_B.reshape(-1)
-        x = np.empty_like(u)
-        for cols, d, e in solves:
-            rhs = u[:, cols]
-            rhs[0] += 2.0 * mu[cols] * u_B[cols]
-            x[:, cols], _ = lapack.dpttrs(d, e, rhs)
-        diff = np.zeros((n_cells + 1, u.shape[1]))
-        diff[0] = 2.0 * (x[0] - u_B)
-        diff[1:-1] = x[1:] - x[:-1]
-        u += mu * (diff[1:] - diff[:-1])
-        return -(eps * b / h) * diff[0]
+        u = cells.reshape(n_cells, -1).T  # a view, also for scalar cells
+        x[...] = u
+        np.add(x_first, two_mu * u_B, out=x_first)
+        for d_k, e_k, row in solves:
+            solved, _ = lapack.dpttrs(d_k, e_k, row, overwrite_b=1)
+            assert solved is row  # f2py copies a row that is not contiguous float64
+        np.multiply(np.subtract(x_first, u_B, out=d_first), 2.0, out=d_first)
+        np.subtract(x_right, x_left, out=d_inner)
+        np.subtract(d_right, d_left, out=x)
+        np.multiply(x, mu_col, out=x)
+        u += x
+        return flux_coeff * d_first
     return step
 
 
@@ -382,7 +379,7 @@ def run_viscous(model: SystemModel, u0, u_B, *, h, eps, t_end,
     (ValueError otherwise); data too large for a positive tau raise CFLError."""
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    xs, ub, cells, alpha = _start(model, u0, u_B, h, n_cells or 200, pinned=False)
+    xs, ub, cells, alpha = _start(model, u0, u_B, h, n_cells, pinned=False)
     b = model.viscosity_diagonal([cells[0], cells[-1], ub(0.0)])
     alpha = max(alpha, 1e-12)
     tau = cfl * min(h / alpha, 2.0 * eps * float(np.min(b)) / (alpha * alpha))

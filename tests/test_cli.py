@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -696,3 +697,29 @@ def test_bad_input_leaves_only_error_json(code, make, tmp_path):
     with open(out / "error.json") as fh:
         assert json.load(fh)["error"] == ("schema" if code == 2 else "numerical")
     assert "Traceback" not in proc.stderr
+
+
+def _run_in_process(cfg, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = cli.main([cfg["task"], "--config", str(path), "--out", str(out)])
+    assert os.listdir(out) == ["error.json"]
+    with open(out / "error.json") as fh:
+        return code, json.load(fh)
+
+
+def test_runtime_warning_as_error_exits_3(tmp_path):
+    # as under python -W error: numpy's overflow warning is raised, not printed
+    cfg = _set("linear2_wrong_viscosity", "params.u_B.0", 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, rep = _run_in_process(cfg, tmp_path)
+    assert code == 3 and rep["error"] == "numerical"
+    assert rep["message"].startswith("RuntimeWarning: overflow")
+
+
+def test_arithmetic_error_message_names_its_type(tmp_path):
+    code, rep = _run_in_process(_set("euler_regions", "model.params.gamma", 1e300), tmp_path)
+    assert code == 3 and rep["error"] == "numerical"
+    assert "OverflowError" in rep["message"]

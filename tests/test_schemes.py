@@ -266,30 +266,39 @@ def test_snapshot_times_cover_range():
     assert len(sol.times) == len(sol.snapshots)
 
 
-def _imex_reference(model, u0, u_B, *, h, eps, tau, n_steps):
-    """IMEX update for B = I, written out directly: the central step
-    u* = u - tau (f_{j+1} - f_{j-1}) / 2h, then backward Euler
-    u^{n+1} - eps tau (u_{j+1} - 2 u_j + u_{j-1})^{n+1} / h^2 = u*, solved
-    densely.  Both use the reflecting ghost 2 u_B - u_0 on the left and a
-    copy ghost on the right, at the old and the new level respectively.
-    Returns the final cells and the time integrals of the total flux
-    f - eps u_x at the first and last faces."""
+def _imex_reference(model, u0, u_B, *, h, eps, tau, n_steps, b=1.0):
+    """IMEX update for B = diag(b), I by default, written out directly: the
+    central step u* = u - tau (f_{j+1} - f_{j-1}) / 2h, then backward Euler
+    u^{n+1} - eps b tau (u_{j+1} - 2 u_j + u_{j-1})^{n+1} / h^2 = u*, solved
+    densely per component.  Both use the reflecting ghost 2 u_B - u_0 on the
+    left and a copy ghost on the right, at the old and the new level
+    respectively; u_B may be a function of t.  Returns the final cells and
+    the time integrals of the total flux f - eps B u_x at the first and last
+    faces."""
     cells = np.array(u0, dtype=float)
-    u_B = np.asarray(u_B, dtype=float)
+    ub = u_B if callable(u_B) else (lambda t: u_B)
     n = cells.shape[0]
-    mu = eps * tau / (h * h)
-    A = (1.0 + 2.0 * mu) * np.eye(n) - mu * (np.eye(n, k=1) + np.eye(n, k=-1))
-    A[0, 0] += mu
-    A[-1, -1] -= mu
     fl = np.zeros(np.shape(np.atleast_1d(cells[0])))
     fr = np.zeros_like(fl)
-    for _ in range(n_steps):
-        ext = np.concatenate([(2.0 * u_B - cells[0])[None], cells, cells[-1:]], axis=0)
+    b = np.broadcast_to(np.asarray(b, dtype=float), fl.shape)
+    mu = eps * b * tau / (h * h)
+    mats = []
+    for mu_k in mu:
+        A = (1.0 + 2.0 * mu_k) * np.eye(n) - mu_k * (np.eye(n, k=1) + np.eye(n, k=-1))
+        A[0, 0] += mu_k
+        A[-1, -1] -= mu_k
+        mats.append(A)
+    for step in range(n_steps):
+        ub_old = np.asarray(ub(step * tau), dtype=float)
+        ub_new = np.asarray(ub((step + 1) * tau), dtype=float)
+        ext = np.concatenate([(2.0 * ub_old - cells[0])[None], cells, cells[-1:]], axis=0)
         f = np.asarray(model.flux(ext))
-        rhs = cells - tau * (f[2:] - f[:-2]) / (2.0 * h)
-        rhs[0] += 2.0 * mu * u_B
-        cells = np.linalg.solve(A, rhs)
-        fl += tau * np.atleast_1d(0.5 * (f[0] + f[1]) - 2.0 * eps * (cells[0] - u_B) / h)
+        rhs = (cells - tau * (f[2:] - f[:-2]) / (2.0 * h)).reshape(n, -1)
+        rhs[0] += 2.0 * mu * ub_new.reshape(-1)
+        cells = np.column_stack([np.linalg.solve(A, rhs[:, k]) for k, A in enumerate(mats)])
+        cells = cells.reshape(np.shape(ext[1:-1]))
+        fl += tau * np.atleast_1d(
+            0.5 * (f[0] + f[1]) - 2.0 * eps * b * np.atleast_1d(cells[0] - ub_new) / h)
         fr += tau * np.atleast_1d(0.5 * (f[-2] + f[-1]))
     return cells, fl, fr
 
@@ -308,6 +317,56 @@ def test_viscous_step_matches_imex_update():
         np.testing.assert_allclose(sol.flux_time_integral_left, fl, rtol=0, atol=1e-13)
         np.testing.assert_allclose(sol.flux_time_integral_right, fr, rtol=0, atol=1e-13)
         assert sol.lam is None and sol.q is None
+
+
+def _assert_matches_imex_reference(model, u0, u_B, *, h, eps, t_end, n_cells, b=1.0):
+    sol = run_viscous(model, u0, u_B, h=h, eps=eps, t_end=t_end, n_cells=n_cells)
+    n_steps = int(round(t_end / sol.tau))
+    assert n_steps >= 4
+    final, fl, fr = _imex_reference(model, u0, u_B, h=h, eps=eps, tau=sol.tau,
+                                    n_steps=n_steps, b=b)
+    np.testing.assert_allclose(sol.final, final, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(sol.flux_time_integral_left, fl, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(sol.flux_time_integral_right, fr, rtol=0, atol=1e-13)
+
+
+def test_viscous_step_matches_imex_update_unequal_diagonal():
+    # B = diag(5, 1): each component has its own matrix
+    model = make_model("linear2", B=[5.0, 1.0])
+    u0 = np.random.default_rng(11).uniform(-1.0, 1.0, (40, 2))
+    _assert_matches_imex_reference(model, u0, np.array([0.5, -0.3]), h=0.02, eps=0.02,
+                                   t_end=0.1, n_cells=40, b=[5.0, 1.0])
+
+
+@pytest.mark.parametrize("n_cells", [1, 2])
+def test_viscous_step_matches_imex_update_few_cells(n_cells):
+    rng = np.random.default_rng(12)
+    _assert_matches_imex_reference(BURGERS, rng.uniform(-0.8, 0.8, n_cells), 0.6, h=0.05,
+                                   eps=0.02, t_end=0.4, n_cells=n_cells)
+    _assert_matches_imex_reference(ELASTO, rng.uniform(0.2, 0.8, (n_cells, 2)),
+                                   np.array([0.5, -0.1]), h=0.05, eps=0.02, t_end=0.4,
+                                   n_cells=n_cells)
+
+
+def test_viscous_step_matches_imex_update_moving_boundary():
+    u0 = np.random.default_rng(13).uniform(-0.8, 0.8, 40)
+    _assert_matches_imex_reference(BURGERS, u0, lambda t: 0.6 + 2.0 * t, h=0.02, eps=0.02,
+                                   t_end=0.2, n_cells=40)
+
+
+def test_viscous_runs_share_no_state():
+    # each run builds its own factors and buffers: a run in between, with
+    # another model and size, leaves a repeated run bit for bit the same
+    def burgers():
+        return run_viscous(BURGERS, -2.0, 1.0, h=0.01, eps=0.04, t_end=0.2, n_cells=40)
+
+    first = burgers()
+    run_viscous(make_model("linear2", B=[5.0, 1.0]), np.array([0.3, -0.2]),
+                np.array([0.5, -0.3]), h=0.02, eps=0.05, t_end=0.1, n_cells=25)
+    again = burgers()
+    for name in ("snapshots", "boundary_samples", "flux_time_integral_left",
+                 "flux_time_integral_right", "mass_final"):
+        assert np.array_equal(getattr(first, name), getattr(again, name)), name
 
 
 def test_viscous_time_step_follows_advective_bound():
