@@ -13,8 +13,10 @@ every run.
 ``src`` beside this script).  Given two trees, say a parent's and a
 change's, each is imported once under the same package name and their
 runs alternate within one process, the order flipping every repeat, so a
-slow or fast phase of the machine falls on both alike; the output then
-also holds each later tree's median over the first tree's.
+slow or fast phase of the machine falls on both alike.  Each later tree's
+``ratio`` is then the median over repeats of its run's step time over the
+first tree's run of the same repeat: a phase that outlasts a few runs
+shifts the medians of both trees but leaves these paired ratios alone.
 
 The output also holds the core count, the Python, numpy and scipy versions
 and the ``PYTHONDONTWRITEBYTECODE`` setting.
@@ -105,7 +107,8 @@ def main(argv=None) -> int:
                       for name, ts in per_step[src].items()}
         if src != srcs[0]:
             for name, entry in trees[src].items():
-                entry["ratio"] = entry["median_us"] / trees[srcs[0]][name]["median_us"]
+                entry["ratio"] = statistics.median(
+                    t / t0 for t, t0 in zip(per_step[src][name], per_step[srcs[0]][name]))
     payload = {
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                     "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),

@@ -101,7 +101,8 @@ def _data_speed(model, cells, ub_val):
 def _snapshot_steps(n_steps, n_snapshots):
     if n_steps == 0:
         return np.array([0])
-    return np.unique(np.round(np.linspace(0, n_steps, min(n_snapshots, n_steps + 1))).astype(int))
+    idx = np.unique(np.round(np.linspace(0, n_steps, min(n_snapshots, n_steps + 1))).astype(int))
+    return idx
 
 
 def _start(model, u0, u_B, h, n_cells, pinned):
