@@ -2,19 +2,23 @@
 
     python3 bench/steps.py [--repeats 9] [--src DIR [DIR ...]]
 
-Each case is one run of a scheme at 640 cells on a Burgers or
-elastodynamics Riemann datum; its step time is the run's wall time divided
-by its number of steps (over a thousand, so the run's set-up is a small
-share).  One untimed run per case and tree comes first, so imports are not
-timed.  A case reports the median over ``--repeats`` runs (at least 5) and
-every run.
+Each scheme case is one run of a scheme at 640 cells on a Burgers, cubic or
+elastodynamics Riemann datum; its time per step is the run's wall time
+divided by its number of steps (over a thousand, so the run's set-up is a
+small share).  The cubic datum spans both critical points of f, the
+candidates of the Godunov flux.  Each ``entropy_residual`` case is one
+``discrete_entropy_residual`` call on the stored history of the LF or
+Godunov Burgers run, made once per tree before timing; its time is per
+stored level.  One untimed run per case and tree comes first, so imports
+are not timed.  A case reports its unit (``step`` or ``level``) and count,
+the median over ``--repeats`` runs (at least 5) and every run.
 
 ``--src`` names the source trees to import ``quarterplane`` from (default:
 ``src`` beside this script).  Given two trees, say a parent's and a
 change's, each is imported once under the same package name and their
 runs alternate within one process, the order flipping every repeat, so a
 slow or fast phase of the machine falls on both alike.  Each later tree's
-``ratio`` is then the median over repeats of its run's step time over the
+``ratio`` is then the median over repeats of its run's time per unit over the
 first tree's run of the same repeat: a phase that outlasts a few runs
 shifts the medians of both trees but leaves these paired ratios alone.
 
@@ -51,31 +55,51 @@ def load(src):
         sys.path.remove(src)
 
 
+def steps(sol):
+    """The number of steps of a run: its last snapshot time over its time step."""
+    return int(round(sol.times[-1] / sol.tau))
+
+
 def cases(schemes, systems):
-    """{name: a no-argument run returning a GridSolution}."""
+    """{name: (unit, run)}, ``run`` a no-argument call returning how many
+    units (steps or stored levels) it took."""
     burgers = systems.make_model("burgers")
+    cubic = systems.make_model("cubic")
     elasto = systems.make_model("elastodynamics")
     h = 0.4 / CELLS
+
+    def lf(model, u0, u_B, **kw):
+        return schemes.run_lf(model, u0, u_B, h=h, lam=0.2, q=0.5, t_end=0.2, n_cells=CELLS, **kw)
+
+    def godunov(model, u0, u_B, **kw):
+        return schemes.run_godunov(model, u0, u_B, h=h, lam=0.4, t_end=0.4, n_cells=CELLS, **kw)
+
+    def residual(sol):
+        def run():
+            schemes.discrete_entropy_residual(burgers, sol)
+            return sol.history.shape[0]
+        return "level", run
+
     return {
-        "viscous_burgers": lambda: schemes.run_viscous(
-            burgers, -2.0, 1.0, h=h, eps=0.04, t_end=0.4, n_cells=CELLS),
-        "viscous_elastodynamics": lambda: schemes.run_viscous(
+        "viscous_burgers": ("step", lambda: steps(schemes.run_viscous(
+            burgers, -2.0, 1.0, h=h, eps=0.04, t_end=0.4, n_cells=CELLS))),
+        "viscous_elastodynamics": ("step", lambda: steps(schemes.run_viscous(
             elasto, [0.7, 0.4], [1.1, 0.0], h=0.8 / CELLS, eps=0.01, t_end=0.8,
-            n_cells=CELLS),
-        "lf_burgers": lambda: schemes.run_lf(
-            burgers, -2.0, 1.0, h=h, lam=0.2, q=0.5, t_end=0.2, n_cells=CELLS),
-        "godunov_burgers": lambda: schemes.run_godunov(
-            burgers, -2.0, 1.0, h=h, lam=0.4, t_end=0.4, n_cells=CELLS),
+            n_cells=CELLS))),
+        "lf_burgers": ("step", lambda: steps(lf(burgers, -2.0, 1.0))),
+        "lf_cubic": ("step", lambda: steps(lf(cubic, -1.5, 1.2))),
+        "godunov_burgers": ("step", lambda: steps(godunov(burgers, -2.0, 1.0))),
+        "godunov_cubic": ("step", lambda: steps(godunov(cubic, -1.5, 1.2))),
+        "entropy_residual_lf": residual(lf(burgers, -2.0, 1.0, store_all=True)),
+        "entropy_residual_godunov": residual(godunov(burgers, -2.0, 1.0, store_all=True)),
     }
 
 
-def step_time(run):
-    """Seconds per step of one run, and its number of steps."""
+def unit_time(run):
+    """Seconds per unit of one run, and its number of units."""
     start = time.perf_counter()
-    sol = run()
-    wall = time.perf_counter() - start
-    steps = int(round(sol.times[-1] / sol.tau))
-    return wall / steps, steps
+    count = run()
+    return (time.perf_counter() - start) / count, count
 
 
 def main(argv=None) -> int:
@@ -89,26 +113,26 @@ def main(argv=None) -> int:
     srcs = [str(Path(s).resolve()) for s in args.src]
     runs = {src: cases(*load(src)) for src in srcs}
 
-    per_step = {src: {name: [] for name in runs[src]} for src in srcs}
-    steps = {}
+    per_unit = {src: {name: [] for name in runs[src]} for src in srcs}
+    counts = {}
     for name in runs[srcs[0]]:
         for src in srcs:  # untimed: the first run also imports what the scheme needs
-            runs[src][name]()
+            runs[src][name][1]()
         for i in range(args.repeats):
             for src in (srcs if i % 2 == 0 else srcs[::-1]):
-                t, steps[name] = step_time(runs[src][name])
-                per_step[src][name].append(t)
+                t, counts[name] = unit_time(runs[src][name][1])
+                per_unit[src][name].append(t)
 
     trees = {}
     for src in srcs:
-        trees[src] = {name: {"cells": CELLS, "steps": steps[name],
+        trees[src] = {name: {"cells": CELLS, "unit": runs[src][name][0], "count": counts[name],
                              "median_us": 1e6 * statistics.median(ts),
                              "runs_us": [1e6 * t for t in ts]}
-                      for name, ts in per_step[src].items()}
+                      for name, ts in per_unit[src].items()}
         if src != srcs[0]:
             for name, entry in trees[src].items():
                 entry["ratio"] = statistics.median(
-                    t / t0 for t, t0 in zip(per_step[src][name], per_step[srcs[0]][name]))
+                    t / t0 for t, t0 in zip(per_unit[src][name], per_unit[srcs[0]][name]))
     payload = {
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                     "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),

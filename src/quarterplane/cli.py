@@ -299,8 +299,8 @@ def write_csv(path: str, header, columns) -> None:
 
 
 def _cells(col):
-    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-        return map(repr, col.tolist())
+    if isinstance(col, np.ndarray) and col.dtype.kind in "fiub":
+        return map(repr if col.dtype.kind == "f" else str, col.tolist())
     return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in col]
 
 

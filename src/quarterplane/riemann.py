@@ -113,15 +113,11 @@ def _critical_values(model):
     return crit, np.asarray(model.flux(crit), dtype=float)
 
 
-def _osher(v, w, fv, fw, crit, f_crit):
-    """Osher's formula from values of f: the trace R(v, w) and f there.
-
-    The trace is the largest minimizer of f on [v, w] when v <= w and the
-    smallest maximizer on [w, v] otherwise: of the states that attain the
-    extremum, the one closest to w.  f is monotone between its critical
-    points, so the candidates are v, w and the critical points ``crit``
-    between them, where f takes the values ``f_crit``.  Values are compared
-    exactly: a tolerance would pick the downwind state at near-ties."""
+def _osher_extremum(v, w, fv, fw, crit, f_crit):
+    """Osher's formula from values of f: the minimum of f on [v, w] when
+    ``up`` (v <= w), else its maximum on [w, v].  f is monotone between its
+    critical points, so the candidates are v, w and the critical points
+    ``crit`` ``between`` them, where f takes the values ``f_crit``."""
     up = v <= w
     f_min, f_max = np.minimum(fv, fw), np.maximum(fv, fw)
     between = []
@@ -130,7 +126,14 @@ def _osher(v, w, fv, fw, crit, f_crit):
         f_k = np.where(inside, f_c, fw)
         f_min, f_max = np.minimum(f_min, f_k), np.maximum(f_max, f_k)
         between.append(inside)
-    extremum = np.where(up, f_min, f_max)
+    return np.where(up, f_min, f_max), up, between
+
+
+def _osher(v, w, fv, fw, crit, f_crit):
+    """The trace R(v, w) and f there, the extremum: of the states that attain
+    it, the one closest to w.  Values are compared exactly: a tolerance would
+    pick the downwind state at near-ties."""
+    extremum, up, between = _osher_extremum(v, w, fv, fw, crit, f_crit)
     trace = v  # then each critical point that attains it and lies closer to w
     for c, f_c, inside in zip(crit, f_crit, between):
         trace = np.where(inside & (f_c == extremum) & ((c > trace) == up), c, trace)

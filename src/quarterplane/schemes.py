@@ -11,6 +11,10 @@ left boundary is closed in one of two ways:
 - the viscous scheme updates every cell and puts the reflecting Dirichlet
   ghost 2 u_B - u_0 left of cell 0.
 
+Each run allocates its buffers once; the Godunov step evaluates only the
+flux value at each face (Osher's extremum), not the trace.  ``store_all``
+keeps every level in one array of 8 B x (steps + 1) x cells x N.
+
 The viscous scheme solves u_t + f(u)_x = eps (B u_x)_x by an IMEX step, the
 backward/forward Euler member of the Ascher-Ruuth-Spiteri family (Appl.
 Numer. Math. 25, 1997): the update above with the central flux
@@ -29,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from quarterplane.riemann import _critical_values, _osher, godunov_trace_scalar
+from quarterplane.riemann import _critical_values, _osher, _osher_extremum, godunov_trace_scalar
 from quarterplane.systems import SystemModel, UnsupportedModelError
 
 __all__ = [
@@ -84,13 +88,8 @@ def _as_boundary(u_B, dimension):
 
 def _initial_cells(model, u0, xs):
     vals = np.asarray(u0(xs) if callable(u0) else u0, dtype=float)
-    if model.dimension == 1:
-        if vals.ndim == 0:
-            vals = np.full(xs.shape, float(vals))
-        return vals.astype(float).copy()
-    if vals.ndim == 1:
-        vals = np.broadcast_to(vals, (xs.size, model.dimension))
-    return np.array(vals, dtype=float)
+    shape = xs.shape + ((model.dimension,) if model.dimension > 1 else ())
+    return np.array(np.broadcast_to(vals, shape) if vals.ndim < len(shape) else vals)
 
 
 def _data_speed(model, cells, ub_val):
@@ -131,7 +130,8 @@ def _march(model, scheme, faces, xs, ub, cells, *, h, tau, ratio, n_steps, pinne
     by slicing, so each face costs one flux evaluation, not two.
     ``implicit(cells, u_B)``, if given, then completes the step in place
     with u_B at the new time and returns the flux it adds at the first
-    face.  A run of more than MAX_CELL_UPDATES raises ValueError."""
+    face, which is added into g.  ``faces`` may return the same buffer at
+    every step.  A run of more than MAX_CELL_UPDATES raises ValueError."""
     if n_steps * len(cells) > MAX_CELL_UPDATES:
         raise ValueError(f"{scheme}: {n_steps:.3g} steps of {len(cells)} cells exceed "
                          f"{MAX_CELL_UPDATES:.3g} cell updates")
@@ -139,17 +139,22 @@ def _march(model, scheme, faces, xs, ub, cells, *, h, tau, ratio, n_steps, pinne
     ext = np.empty((cells.shape[0] + 2 - first,) + cells.shape[1:])
     ext[1 - first:-1] = cells
     cells = ext[1 - first:-1]  # a view: updating the cells updates ext
-    snap_idx = set(_snapshot_steps(n_steps, n_snapshots).tolist())
+    updated = cells[first:]
+    dg = np.empty_like(updated)  # ratio (g_{j+1/2} - g_{j-1/2}) of each updated cell
+    snap_steps = _snapshot_steps(n_steps, n_snapshots)
+    snap_idx = set(snap_steps.tolist())
     # [()]: a scalar model's u_B is a numpy scalar, whose arithmetic costs less than a 0-d array's
     ub_new = np.asarray(ub(0.0), dtype=float)[()]
     snaps = [cells.copy()] if 0 in snap_idx else []
-    snap_times = [0.0] if 0 in snap_idx else []
     ub_samples = [ub_new] if 0 in snap_idx else []
-    history = [cells.copy()] if store_all else None
+    history = np.empty((n_steps + 1,) + cells.shape) if store_all else None
+    if store_all:
+        history[0] = cells
 
-    mass0 = np.atleast_1d(np.sum(cells[first:], axis=0))
-    # the flux through the first and the last face, and its time integral
-    g_ends, g_ends_int = np.empty((2,) + mass0.shape), np.zeros((2,) + mass0.shape)
+    mass0 = np.atleast_1d(np.sum(updated, axis=0))
+    # the time integral of the flux through the first and the last face: the
+    # rows g[ends], one row standing for both when there is a single face
+    ends, g_ends_int = slice(None, None, max(len(ext) - 2, 1)), np.zeros((2,) + cells.shape[1:])
 
     for n in range(1, n_steps + 1):
         ub_old, ub_new = ub_new, np.asarray(ub(n * tau), dtype=float)[()]
@@ -157,25 +162,25 @@ def _march(model, scheme, faces, xs, ub, cells, *, h, tau, ratio, n_steps, pinne
             ext[0] = 2.0 * ub_old - cells[0]
         ext[-1] = cells[-1]
         g = faces(ext)  # g[0] at the first updated cell's left face
-        cells[first:] -= ratio * (g[1:] - g[:-1])
-        g_ends[0] = g[0] if implicit is None else g[0] + implicit(cells, ub_new)
-        g_ends[1] = g[-1]
+        updated -= np.multiply(np.subtract(g[1:], g[:-1], out=dg), ratio, out=dg)
+        if implicit is not None:
+            g[:1] += implicit(cells, ub_new)
         if pinned:
             cells[0] = ub_new
-        g_ends_int += tau * g_ends
+        g_ends_int += tau * g[ends]
         if store_all:
-            history.append(cells.copy())
+            history[n] = cells
         if n in snap_idx:
             snaps.append(cells.copy())
-            snap_times.append(n * tau)
             ub_samples.append(ub_new)
 
+    flux_int = g_ends_int.reshape(2, -1)
     return GridSolution(
         scheme=scheme, model_name=model.name, xs=xs, h=h, tau=tau,
-        times=np.asarray(snap_times), snapshots=np.asarray(snaps),
-        mass_initial=mass0 * h, mass_final=np.atleast_1d(np.sum(cells[first:], axis=0)) * h,
-        flux_time_integral_left=g_ends_int[0], flux_time_integral_right=g_ends_int[1],
-        history=np.asarray(history) if store_all else None,
+        times=snap_steps * tau, snapshots=np.asarray(snaps),
+        mass_initial=mass0 * h, mass_final=np.atleast_1d(np.sum(updated, axis=0)) * h,
+        flux_time_integral_left=flux_int[0], flux_time_integral_right=flux_int[1],
+        history=history,
         boundary_samples=np.asarray(ub_samples), **fields,
     )
 
@@ -212,11 +217,13 @@ def numerical_flux(model: SystemModel, scheme, F=None, U=None):
     raise ValueError("scheme must be ('lf', lam, q) or ('godunov',)")
 
 
-def _lf_flux(Fv, Fw, Uv, Uw, coeff):
+def _lf_flux(Fv, Fw, Uv, Uw, coeff, g=None, d=None):
     """The LF-type flux (F(v) + F(w)) / 2 - coeff (U(w) - U(v)) from the
-    values of F and U at v and w: per-cell values sliced to neighbours give
-    it at every face for one evaluation of F and U per cell."""
-    return 0.5 * (np.asarray(Fv) + np.asarray(Fw)) - coeff * (np.asarray(Uw) - np.asarray(Uv))
+    values of F and U at v and w, written into the buffers g and d if given:
+    per-cell values sliced to neighbours give it at every face for one
+    evaluation of F and U per cell."""
+    g = np.multiply(np.add(Fv, Fw, out=g), 0.5, out=g)
+    return np.subtract(g, np.multiply(np.subtract(Uw, Uv, out=d), coeff, out=d), out=g)
 
 
 def lf_splitting(model, coeff):
@@ -251,11 +258,14 @@ def run_lf(model: SystemModel, u0, u_B, *, h, lam, q, t_end,
     """Lax-Friedrichs-type scheme with numerical viscosity Q/lam."""
     if not 0.0 < q < 1.0:
         raise CFLError("q must lie in (0, 1)")
-    coeff = q / lam
+    coeff, bufs = q / lam, None
 
-    def faces(ext):
+    def faces(ext):  # into buffers allocated at the first step
+        nonlocal bufs
+        if bufs is None:
+            bufs = tuple(np.empty((2, len(ext) - 1) + ext.shape[1:]))
         fe = np.asarray(model.flux(ext))
-        return _lf_flux(fe[:-1], fe[1:], ext[:-1], ext[1:], coeff)
+        return _lf_flux(fe[:-1], fe[1:], ext[:-1], ext[1:], coeff, *bufs)
 
     return _run_conservative(model, "lf", faces, u0, u_B,
                              h=h, lam=lam, q=q, t_end=t_end, n_cells=n_cells,
@@ -275,11 +285,17 @@ def run_split(model: SystemModel, u0, u_B, *, h, lam, q=None, t_end,
         if q is None or not 0.0 < q < 1.0:
             raise CFLError("q must lie in (0, 1)")
         coeff = q / lam
-        speed_bound = q
+        speed_bound, bufs = q, None
 
-        def faces(ext):  # lf_splitting's f^-(w) + f^+(v), one flux call
-            half = 0.5 * np.asarray(model.flux(ext))
-            return (half[1:] - coeff * ext[1:]) + (half[:-1] + coeff * ext[:-1])
+        def faces(ext):  # lf_splitting's f^-(w) + f^+(v), one flux call, into buffers
+            nonlocal bufs
+            if bufs is None:  # f/2, coeff u and g per cell of ext
+                bufs = tuple(np.empty((3,) + ext.shape))
+            half, cu, g = bufs
+            np.multiply(np.asarray(model.flux(ext)), 0.5, out=half)
+            np.multiply(ext, coeff, out=cu)
+            g = np.subtract(half[1:], cu[1:], out=g[1:])  # f^-(w)
+            return np.add(g, np.add(half[:-1], cu[:-1], out=cu[:-1]), out=g)  # + f^+(v)
     else:
         f_minus, f_plus = splitting
         _check_splitting(model, f_minus, f_plus)
@@ -303,7 +319,7 @@ def run_godunov(model: SystemModel, u0, u_B, *, h, lam, t_end,
 
     def faces(ext):
         fe = np.asarray(model.flux(ext))
-        return _osher(ext[:-1], ext[1:], fe[:-1], fe[1:], crit, f_crit)[1]
+        return _osher_extremum(ext[:-1], ext[1:], fe[:-1], fe[1:], crit, f_crit)[0]
 
     return _run_conservative(model, "godunov", faces, u0, u_B,
                              h=h, lam=lam, q=None, t_end=t_end, n_cells=n_cells,
@@ -422,9 +438,13 @@ def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
     values each, so the temporaries stay small): U and F are evaluated once
     per block on the cell values, right neighbours (with the copy ghost) are
     slices, and the Godunov trace R(u_j, u_{j+1}) is computed once per block
-    for all pairs.  The maximum is the one a loop over single steps returns,
-    bit for bit.  A history with a non-finite value raises ValueError naming
-    the first such level: it has no residual to report.
+    for all pairs; a pair whose F is the model's flux takes f(R) as the
+    extremum Osher's formula finds with it.  A pair that ``negates`` another
+    listed pair is not evaluated: its residual is minus the other's, exactly
+    but for the sign of a zero, so its maxima are minus the other's minima.
+    The maximum is the one a loop over single steps returns, bit for bit.  A
+    history with a non-finite value raises ValueError naming the first such
+    level: it has no residual to report.
     """
     if sol.history is None:
         raise ValueError("run the scheme with store_all=True first")
@@ -438,6 +458,9 @@ def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
         raise ValueError(f"no entropy flux for scheme {sol.scheme!r}")
     if pairs is None:
         pairs = model.entropies
+    listed = {id(pair) for pair in pairs}  # (pair, whether a listed pair negates it)
+    evaluated = [(p, any(q.negates is p for q in pairs)) for p in pairs
+                 if id(p.negates) not in listed]
     hist = sol.history
     rows = max(_BLOCK_VALUES // hist[0].size, 1)
     worst = 0.0
@@ -449,15 +472,17 @@ def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
         cur = levels[:-1]
         if sol.scheme == "godunov":
             fc = np.asarray(model.flux(cur))
-            trace = _osher(cur, _right(cur), fc, _right(fc), crit, f_crit)[0]
-        for pair in pairs:
+            trace, extremum = _osher(cur, _right(cur), fc, _right(fc), crit, f_crit)
+        for pair, negated in evaluated:
             u = np.asarray(pair.U(levels))
             if sol.scheme == "godunov":
-                g = np.asarray(pair.F(trace))
+                g = extremum if pair.F is model.flux else np.asarray(pair.F(trace))
             else:
                 f = np.asarray(pair.F(cur))
                 g = _lf_flux(f, _right(f), u[:-1], _right(u[:-1]), coeff)
             res = (u[1:, 1:] - u[:-1, 1:]) + sol.lam * (g[:, 1:] - g[:, :-1])
             # a fold over the rows' maxima, as over single steps
             worst = max(worst, *np.max(res, axis=1).tolist())
+            if negated:
+                worst = max(worst, *(-np.min(res, axis=1)).tolist())
     return worst

@@ -46,7 +46,9 @@ class EntropyPair:
 
     ``convexity`` is one of ``strictly-convex``, ``convex`` or ``trivial``.
     Trivial pairs are (+-u_j, +-f_j); they carry no convexity information but
-    are useful to force flux equalities in admissibility arguments.
+    are useful to force flux equalities in admissibility arguments.  A -u_j
+    pair ``negates`` its +u_j pair: its U and F are theirs negated, exactly
+    in floating point but for the sign of a zero.
     """
 
     U: Callable
@@ -55,6 +57,7 @@ class EntropyPair:
     hess_U: Callable
     convexity: str = "strictly-convex"
     label: str = ""
+    negates: Optional["EntropyPair"] = None
 
 
 @dataclass(frozen=True)
@@ -201,18 +204,21 @@ def entropy_eval(pair: EntropyPair, state):
 # --- Built-in models ---------------------------------------------------------
 
 
-def _trivial_pairs_scalar(f):
+def _scalar_pairs(f, entropy_flux):
+    """(u^2/2, entropy_flux), entropy_flux' = u f', and the trivial pairs."""
     def hess(u):
         return 0.0 * np.asarray(u, dtype=float)
 
-    return (
-        EntropyPair(U=lambda u: np.asarray(u, dtype=float) + 0.0, F=f,
-                    grad_U=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-                    hess_U=hess, convexity="trivial", label="+u"),
-        EntropyPair(U=lambda u: -np.asarray(u, dtype=float), F=lambda u: -f(u),
-                    grad_U=lambda u: -np.ones_like(np.asarray(u, dtype=float)),
-                    hess_U=hess, convexity="trivial", label="-u"),
-    )
+    quad = EntropyPair(U=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2, F=entropy_flux,
+                       grad_U=lambda u: np.asarray(u, dtype=float) + 0.0,
+                       hess_U=lambda u: np.ones_like(np.asarray(u, dtype=float)), label="u^2/2")
+    plus = EntropyPair(U=lambda u: np.asarray(u, dtype=float) + 0.0, F=f,
+                       grad_U=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+                       hess_U=hess, convexity="trivial", label="+u")
+    minus = EntropyPair(U=lambda u: -np.asarray(u, dtype=float), F=lambda u: -f(u),
+                        grad_U=lambda u: -np.ones_like(np.asarray(u, dtype=float)),
+                        hess_U=hess, convexity="trivial", label="-u", negates=plus)
+    return quad, plus, minus
 
 
 def _trivial_pairs_system(flux, n):
@@ -233,7 +239,8 @@ def _trivial_pairs_system(flux, n):
             def hess(u):
                 return np.zeros((n, n))
 
-            pairs.append(EntropyPair(U, F, grad, hess, "trivial", "%su_%d" % (tag, j + 1)))
+            pairs.append(EntropyPair(U, F, grad, hess, "trivial", "%su_%d" % (tag, j + 1),
+                                     negates=pairs[-1] if sgn < 0.0 else None))
     return tuple(pairs)
 
 
@@ -249,18 +256,10 @@ def _make_burgers(params):
         u = np.asarray(u, dtype=float)
         return u * u * u / 3.0
 
-    quad = EntropyPair(
-        U=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
-        F=entropy_flux,
-        grad_U=lambda u: np.asarray(u, dtype=float) + 0.0,
-        hess_U=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        convexity="strictly-convex",
-        label="u^2/2",
-    )
     return SystemModel(
         name="burgers", dimension=1, flux=f,
         jacobian=lambda u: np.array([[float(df(u))]]),
-        entropies=(quad,) + _trivial_pairs_scalar(f),
+        entropies=_scalar_pairs(f, entropy_flux),
         viscosity=lambda u: np.eye(1),
         state_region=((-np.inf, np.inf),),
         dflux=df, critical_points=(0.0,),
@@ -285,15 +284,6 @@ def _make_cubic(params):
         u2 = u * u
         return 0.375 * u2 * u2 - 0.75 * u2
 
-    quad = EntropyPair(
-        U=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
-        F=entropy_flux,
-        grad_U=lambda u: np.asarray(u, dtype=float) + 0.0,
-        hess_U=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        convexity="strictly-convex",
-        label="u^2/2",
-    )
-
     def level_roots(u):
         # Deflating (v - u) from v^3 - 3v - (u^3 - 3u) leaves the quadratic
         # v^2 + u v + (u^2 - 3); v = u is one of its roots only at the
@@ -310,7 +300,7 @@ def _make_cubic(params):
     return SystemModel(
         name="cubic", dimension=1, flux=f,
         jacobian=lambda u: np.array([[float(df(u))]]),
-        entropies=(quad,) + _trivial_pairs_scalar(f),
+        entropies=_scalar_pairs(f, entropy_flux),
         viscosity=lambda u: np.eye(1),
         state_region=((-np.inf, np.inf),),
         dflux=df, critical_points=(-1.0, 1.0),

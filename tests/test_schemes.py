@@ -494,3 +494,83 @@ def test_residual_rejects_non_finite_history(level):
         history[-1, 9] = bad  # a later one is not the one named
         with pytest.raises(ValueError, match=f"history level {level} is not finite"):
             discrete_entropy_residual(BURGERS, dataclasses.replace(sol, history=history))
+
+
+def _conservative(scheme, model, u0, u_B, **kw):
+    if scheme == "godunov":
+        return run_godunov(model, u0, u_B, lam=0.2, **kw)
+    return (run_lf if scheme == "lf" else run_split)(model, u0, u_B, lam=0.2, q=0.5, **kw)
+
+
+@pytest.mark.parametrize("scheme", ["lf", "split", "godunov"])
+def test_residual_of_negated_pairs_equals_per_step_loop(scheme):
+    # a -u pair listed beside its +u pair is not evaluated but taken as minus
+    # the +u residual; a level lowered at one step makes the -u pair decide
+    rng = np.random.default_rng(14)
+    for model in (BURGERS, CUBIC):
+        plus, minus = model.entropies[1:]
+        u0, u_B = rng.uniform(-1.2, 1.2, 200), float(rng.uniform(-1.2, 1.2))
+        sol = _conservative(scheme, model, u0, u_B, h=0.01, t_end=0.1, n_cells=200,
+                            store_all=True)
+        kruzkov = [kruzkov_pair(model, k) for k in (-0.7, 0.0, 0.4)]
+        for bump in (1e-3, -1e-3):
+            history = sol.history.copy()
+            history[9, 7] += bump
+            raised = dataclasses.replace(sol, history=history)
+            for pairs in ([plus], [minus, plus], [minus], kruzkov, None):
+                got = discrete_entropy_residual(model, raised, pairs)
+                assert got == _residual_per_step(model, raised, pairs), (model.name, bump)
+            assert discrete_entropy_residual(model, raised, [minus, plus]) > 1e-6
+
+
+def test_residual_of_negated_system_pairs_equals_per_step_loop():
+    rng = np.random.default_rng(15)
+    sol = run_lf(ELASTO, rng.uniform(-0.3, 0.3, (120, 2)), np.array([0.1, -0.1]), h=0.01,
+                 lam=0.2, q=0.5, t_end=0.1, n_cells=120, store_all=True)
+    for j in range(2):
+        history = sol.history.copy()
+        history[9, 7, j] -= 1e-3  # the -u_j pair decides
+        raised = dataclasses.replace(sol, history=history)
+        got = discrete_entropy_residual(ELASTO, raised)
+        assert got > 1e-6 and got == _residual_per_step(ELASTO, raised), j
+
+
+@pytest.mark.parametrize("scheme", ["lf", "split", "godunov"])
+def test_stored_histories_share_no_buffer(scheme):
+    # each run allocates its own history and face buffers: a run in between,
+    # with another model and size, leaves a repeated run bit for bit the same
+    def burgers():
+        return _conservative(scheme, BURGERS, -1.0, 0.5, h=0.01, t_end=0.2, n_cells=40,
+                             store_all=True)
+
+    first = burgers()
+    kept = first.history.copy()
+    _conservative(scheme, CUBIC, 0.5, -0.5, h=0.02, t_end=0.1, n_cells=25, store_all=True)
+    again = burgers()
+    assert np.array_equal(first.history, kept) and np.array_equal(again.history, kept)
+    assert not np.shares_memory(first.history, again.history)
+    assert np.array_equal(first.snapshots, again.snapshots)
+
+
+@pytest.mark.parametrize("scheme", ["lf", "split", "godunov", "viscous"])
+def test_snapshots_are_history_rows(scheme):
+    kw = dict(h=0.02, t_end=0.37, n_cells=40, n_snapshots=7, store_all=True)
+
+    def u_B(t):  # a moving boundary: cell 0 changes every step
+        return 0.5 + t
+
+    if scheme == "viscous":
+        sol = run_viscous(BURGERS, -0.3, u_B, eps=0.05, **kw)
+    else:
+        sol = _conservative(scheme, BURGERS, -0.3, u_B, **kw)
+    steps = np.rint(sol.times / sol.tau).astype(int)
+    assert steps[0] == 0 and steps[-1] == sol.history.shape[0] - 1 and len(steps) == 7
+    assert np.array_equal(sol.snapshots, sol.history[steps])
+
+
+@pytest.mark.parametrize("scheme", ["lf", "split", "godunov"])
+def test_zero_step_run_stores_one_level(scheme):
+    sol = _conservative(scheme, BURGERS, -0.3, 0.5, h=0.02, t_end=0.0, n_cells=40,
+                        store_all=True)
+    assert sol.history.shape == (1, 40)
+    assert np.array_equal(sol.history[0], sol.snapshots[0]) and sol.history[0, 0] == 0.5
