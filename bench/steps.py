@@ -9,8 +9,14 @@ small share).  The cubic datum spans both critical points of f, the
 candidates of the Godunov flux.  Each ``entropy_residual`` case is one
 ``discrete_entropy_residual`` call on the stored history of the LF or
 Godunov Burgers run, made once per tree before timing; its time is per
-stored level.  One untimed run per case and tree comes first, so imports
-are not timed.  A case reports its unit (``step`` or ``level``) and count,
+stored level.  Its block temporaries (about 256 KiB each) lie above
+glibc's initial 128 KiB mmap and heap-trim thresholds, which glibc moves as
+the process frees memory, so whether each block faults in fresh pages
+depends on what ran before in the process.  With both fixed, say
+``MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=1073741824``, the
+temporaries are reused from the heap and the residual cases time the
+arithmetic.  One untimed run per case and tree comes first, so imports are
+not timed.  A case reports its unit (``step`` or ``level``) and count,
 the median over ``--repeats`` runs (at least 5) and every run.
 
 ``--src`` names the source trees to import ``quarterplane`` from (default:
