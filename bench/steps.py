@@ -1,4 +1,4 @@
-"""The time of one scheme step, per scheme, printed as JSON.
+"""The time of one scheme step, per scheme, and of one layer profile, printed as JSON.
 
     python3 bench/steps.py [--repeats 9] [--src DIR [DIR ...]]
 
@@ -15,9 +15,13 @@ the process frees memory, so whether each block faults in fresh pages
 depends on what ran before in the process.  With both fixed, say
 ``MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=1073741824``, the
 temporaries are reused from the heap and the residual cases time the
-arithmetic.  One untimed run per case and tree comes first, so imports are
-not timed.  A case reports its unit (``step`` or ``level``) and count,
-the median over ``--repeats`` runs (at least 5) and every run.
+arithmetic.  Each ``profile`` case computes one layer profile
+``PROFILES`` times and reports the time per profile: ``viscous_layer_profile``
+of a Burgers and of a cubic member, and ``discrete_layer_membership`` (LF,
+lam 0.1, q 0.5) of a Burgers member and of a non-member, whose last step
+fails Newton.  One untimed run per case and tree comes first, so imports are
+not timed.  A case reports its unit (``step``, ``level`` or ``profile``) and
+count, the median over ``--repeats`` runs (at least 5) and every run.
 
 ``--src`` names the source trees to import ``quarterplane`` from (default:
 ``src`` beside this script).  Given two trees, say a parent's and a
@@ -46,17 +50,19 @@ from importlib import metadata
 from pathlib import Path
 
 CELLS = 640
+PROFILES = 20
 
 
 def load(src):
-    """The ``schemes`` and ``systems`` modules of the package under ``src``,
-    imported afresh: a tree loaded before keeps its own module objects."""
+    """The ``schemes``, ``systems`` and ``layers`` modules of the package
+    under ``src``, imported afresh: a tree loaded before keeps its own
+    module objects."""
     for name in [m for m in sys.modules if m.split(".")[0] == "quarterplane"]:
         del sys.modules[name]
     sys.path.insert(0, src)
     try:
-        return (importlib.import_module("quarterplane.schemes"),
-                importlib.import_module("quarterplane.systems"))
+        return tuple(importlib.import_module("quarterplane." + name)
+                     for name in ("schemes", "systems", "layers"))
     finally:
         sys.path.remove(src)
 
@@ -66,9 +72,9 @@ def steps(sol):
     return int(round(sol.times[-1] / sol.tau))
 
 
-def cases(schemes, systems):
+def cases(schemes, systems, layers):
     """{name: (unit, run)}, ``run`` a no-argument call returning how many
-    units (steps or stored levels) it took."""
+    units (steps, stored levels or profiles) it took."""
     burgers = systems.make_model("burgers")
     cubic = systems.make_model("cubic")
     elasto = systems.make_model("elastodynamics")
@@ -86,6 +92,14 @@ def cases(schemes, systems):
             return sol.history.shape[0]
         return "level", run
 
+    def profile(layer, *args):
+        def run():
+            for _ in range(PROFILES):
+                layer(*args)
+            return PROFILES
+        return "profile", run
+
+    lf_layer = ("lf", 0.1, 0.5)
     return {
         "viscous_burgers": ("step", lambda: steps(schemes.run_viscous(
             burgers, -2.0, 1.0, h=h, eps=0.04, t_end=0.4, n_cells=CELLS))),
@@ -98,6 +112,12 @@ def cases(schemes, systems):
         "godunov_cubic": ("step", lambda: steps(godunov(cubic, -1.5, 1.2))),
         "entropy_residual_lf": residual(lf(burgers, -2.0, 1.0, store_all=True)),
         "entropy_residual_godunov": residual(godunov(burgers, -2.0, 1.0, store_all=True)),
+        "profile_viscous_burgers": profile(layers.viscous_layer_profile, burgers, 1.0, -2.0),
+        "profile_viscous_cubic": profile(layers.viscous_layer_profile, cubic, 1.5, -0.5),
+        "profile_lf_member": profile(layers.discrete_layer_membership, burgers, lf_layer,
+                                     1.0, -2.0),
+        "profile_lf_nonmember": profile(layers.discrete_layer_membership, burgers, lf_layer,
+                                        1.03, -0.5),
     }
 
 

@@ -183,7 +183,7 @@ def _dopri45(rhs, y0, y_max, event):
     scipy's RK45 at rtol = 1e-10, atol = 1e-12: its initial step, error
     norm, safety factor 0.9, step factors in [0.2, 10] (no growth right
     after a rejection) and smallest step 10 ulp(y).  A state is a float or
-    a 1-d array.
+    a 1-d array; a non-finite rhs(y0) raises ValueError.
 
     Stops early where event(v) changes sign (or vanishes), at the root
     Brent's method finds on the step's dense output.  Returns the accepted
@@ -194,6 +194,8 @@ def _dopri45(rhs, y0, y_max, event):
     b1, _, b3, b4, b5, b6 = _RK_B
     e1, _, e3, e4, e5, e6, e7 = _RK_E
     y, f = y0, rhs(y0)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("the layer ODE's velocity at u_B is not finite")
     # initial step (Hairer-Norsett-Wanner II.4 for an order-4 error estimate)
     d0, d1 = _error_norm(y, y, y), _error_norm(f, y, y)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, y_max)
@@ -283,7 +285,7 @@ def viscous_layer_profile(model: SystemModel, u_B, v_inf, y_max: float = 200.0) 
     dists = np.linalg.norm(states.reshape(len(ys), -1) - vi, axis=1)
     d_end = float(dists[-1])
 
-    if status == 1 or (status < 0 and d_end > blow * 0.5):
+    if status:  # an event, or a step underflow: the run stopped short of y_max
         verdict = "diverged"
     elif d_end <= tol and _monotone_tail(dists):
         verdict = "converged"
@@ -332,8 +334,8 @@ _VERDICTS = ("converged", "diverged", "stalled", "horizon-reached")
 
 
 def _norms(x):
-    """The 2-norm of each row of x, shape (M, N)."""
-    return np.hypot.reduce(x, axis=1, initial=0.0)
+    """The 2-norm of x along its last axis."""
+    return np.hypot.reduce(x, axis=-1, initial=0.0)
 
 
 def _newton_step(model: SystemModel, mu: float, w, r):
@@ -353,34 +355,39 @@ def _lf_step(model: SystemModel, mu: float, v, f_inf, max_iter: int = 100, tol: 
     """The implicit LF layer step for each row of v, shape (M, N): solves
     w - mu f(w) = v + mu f(v) - 2 mu f_inf by Newton from w = v (so the root
     in the basin of v is selected), halving each state's step until its
-    residual decreases.  Returns w and the mask of the states whose Newton
-    failed: 30 halvings did not decrease the residual, or max_iter steps
-    left it above tol (1 + |w|)."""
+    residual decreases: the B states whose full step does not decrease it
+    share one flux call on a (30, B, N) ladder of repeated halvings and take
+    their first rung that does.  Returns w and the mask of the states whose
+    Newton failed: no rung decreased the residual (w is then the last rung),
+    or max_iter steps left it above tol (1 + |w|)."""
     fv = model.flux(v)
     c = v + mu * (fv - 2.0 * f_inf)
     w, r = v.copy(), v - mu * fv - c
     nr = _norms(r)
     failed = np.zeros(len(v), dtype=bool)
-    todo = ~failed
     for _ in range(max_iter):
-        todo &= ~(nr <= tol * (1.0 + _norms(w)))  # a NaN residual is not converged
+        todo = ~(failed | (nr <= tol * (1.0 + _norms(w))))  # a NaN residual is not converged
         n_todo = np.count_nonzero(todo)
         if not n_todo:
             return w, failed
         step = np.where(todo[:, None], _newton_step(model, mu, w, r), 0.0)
-        for _ in range(31):  # the states off todo keep w: their step is 0
-            w_new = w + step
-            r_new = w_new - mu * model.flux(w_new) - c
-            nr_new = _norms(r_new)
-            better = nr_new < nr  # so better is a subset of todo
-            if np.count_nonzero(better) == n_todo:
-                break
-            step *= np.where(better, 1.0, 0.5)[:, None]
-        else:
-            failed |= todo & ~better
-            todo &= better
+        w_new = w + step  # the states off todo keep w: their step is 0
+        r_new = w_new - mu * model.flux(w_new) - c
+        nr_new = _norms(r_new)
+        better = nr_new < nr  # so better is a subset of todo
+        if np.count_nonzero(better) < n_todo:
+            bad = np.flatnonzero(todo & ~better)
+            rungs = np.concatenate([step[None, bad], np.full((30, bad.size, w.shape[1]), 0.5)])
+            w_l = w[bad] + np.multiply.accumulate(rungs)[1:]
+            r_l = w_l - mu * model.flux(w_l) - c[bad]
+            nr_l = _norms(r_l)
+            down = nr_l < nr[bad]
+            failed[bad[~down.any(axis=0)]] = True
+            down[-1] = True  # a state no rung helps ends on the last one
+            pick = down.argmax(axis=0), np.arange(bad.size)
+            w_new[bad], r_new[bad], nr_new[bad] = w_l[pick], r_l[pick], nr_l[pick]
         w, r, nr = w_new, r_new, nr_new
-    return w, failed | todo & ~(nr <= tol * (1.0 + _norms(w)))
+    return w, failed | ~(nr <= tol * (1.0 + _norms(w)))
 
 
 def _lf_orbit(model: SystemModel, mu: float, u_B, v_inf, y_max: int, member_tol=None):

@@ -462,6 +462,8 @@ def discrete_entropy_residual(model: SystemModel, sol: GridSolution,
     evaluated = [(p, any(q.negates is p for q in pairs)) for p in pairs
                  if id(p.negates) not in listed]
     hist = sol.history
+    if hist.shape[1] < 2:
+        raise ValueError("no entropy residual: a 1-cell run has no interior cell (cell 0 is pinned)")
     rows = max(_BLOCK_VALUES // hist[0].size, 1)
     worst = 0.0
     for start in range(0, hist.shape[0] - 1, rows):

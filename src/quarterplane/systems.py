@@ -2,8 +2,8 @@
 
 Each model packages the flux, its Jacobian, an eigendecomposition, a list of
 entropy pairs (at least one strictly convex) and a viscosity matrix.  States
-for scalar models are plain floats (or numpy arrays, elementwise); states for
-2x2 systems are arrays whose last axis has length 2.
+for scalar models are floats or arrays (elementwise); built-in scalar fluxes
+keep a float a float; 2x2 states are arrays whose last axis has length 2.
 """
 
 from __future__ import annotations
@@ -244,16 +244,21 @@ def _trivial_pairs_system(flux, n):
     return tuple(pairs)
 
 
+def _scalar_state(u):
+    """A float as is (the array path's bits without a 0-d array's cost), else a float array."""
+    return u if isinstance(u, float) else np.asarray(u, dtype=float)
+
+
 def _make_burgers(params):
     def f(u):
-        u = np.asarray(u, dtype=float)
+        u = _scalar_state(u)
         return 0.5 * u * u
 
     def df(u):
-        return np.asarray(u, dtype=float) + 0.0
+        return _scalar_state(u) + 0.0
 
     def entropy_flux(u):
-        u = np.asarray(u, dtype=float)
+        u = _scalar_state(u)
         return u * u * u / 3.0
 
     return SystemModel(
@@ -271,16 +276,16 @@ def _make_burgers(params):
 
 def _make_cubic(params):
     def f(u):
-        u = np.asarray(u, dtype=float)
+        u = _scalar_state(u)
         return 0.5 * (u * u * u - 3.0 * u)
 
     def df(u):
-        u = np.asarray(u, dtype=float)
+        u = _scalar_state(u)
         return 1.5 * u * u - 1.5
 
     def entropy_flux(u):
         # F' = u f'(u) = (3u^3 - 3u)/2  ->  F = 3u^4/8 - 3u^2/4
-        u = np.asarray(u, dtype=float)
+        u = _scalar_state(u)
         u2 = u * u
         return 0.375 * u2 * u2 - 0.75 * u2
 

@@ -723,3 +723,16 @@ def test_arithmetic_error_message_names_its_type(tmp_path):
     code, rep = _run_in_process(_set("euler_regions", "model.params.gamma", 1e300), tmp_path)
     assert code == 3 and rep["error"] == "numerical"
     assert "OverflowError" in rep["message"]
+
+
+@pytest.mark.parametrize("model, u_B", [("cubic", 1e103), ("burgers", 1e155)])
+def test_profile_with_non_finite_start_velocity_exits_3(model, u_B, tmp_path):
+    # f(u_B) overflows to inf; as on the command line, numpy's overflow
+    # warnings (Burgers' |u_B - v_inf|^2) stay warnings
+    cfg = {"task": "layer", "model": {"name": model},
+           "params": {"mode": "profile", "u_B": u_B, "v_inf": -0.5}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, rep = _run_in_process(cfg, tmp_path)
+    assert code == 3 and rep["error"] == "numerical"
+    assert rep["message"] == "the layer ODE's velocity at u_B is not finite"

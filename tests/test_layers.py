@@ -94,6 +94,82 @@ def test_fixed_point_of_step():
         np.testing.assert_allclose(np.atleast_1d(w), np.atleast_1d(state), atol=1e-12)
 
 
+def _lf_step_sequential(model, mu, v, f_inf, max_iter=100, tol=1e-12):
+    # the LF layer step with one flux call per halving: the reference the
+    # one-call halving ladder of _lf_step must match bit for bit
+    def norms(x):
+        return np.hypot.reduce(x, axis=1, initial=0.0)
+
+    fv = model.flux(v)
+    c = v + mu * (fv - 2.0 * f_inf)
+    w, r = v.copy(), v - mu * fv - c
+    nr = norms(r)
+    failed = np.zeros(len(v), dtype=bool)
+    todo = ~failed
+    for _ in range(max_iter):
+        todo &= ~(nr <= tol * (1.0 + norms(w)))
+        n_todo = np.count_nonzero(todo)
+        if not n_todo:
+            return w, failed
+        step = np.where(todo[:, None], _newton_step(model, mu, w, r), 0.0)
+        for _ in range(31):
+            w_new = w + step
+            r_new = w_new - mu * model.flux(w_new) - c
+            nr_new = norms(r_new)
+            better = nr_new < nr
+            if np.count_nonzero(better) == n_todo:
+                break
+            step *= np.where(better, 1.0, 0.5)[:, None]
+        else:
+            failed |= todo & ~better
+            todo &= better
+        w, r, nr = w_new, r_new, nr_new
+    return w, failed | todo & ~(nr <= tol * (1.0 + norms(w)))
+
+
+QUARTIC = dataclasses.replace(
+    CUBIC, name="quartic", flux=lambda u: 0.25 * (u * u) * (u * u) - 0.5 * (u * u),
+    dflux=lambda u: u * u * u - u, critical_points=(-1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("model", [BURGERS, CUBIC, QUARTIC], ids=lambda m: m.name)
+def test_step_ladder_equals_sequential_halving(model):
+    rng = np.random.default_rng(21)
+    n_failed = 0
+    for mu in (0.1, 0.25, 0.5):
+        v, v_inf = rng.uniform(-2.5, 2.5, (61, 1)), rng.uniform(-2.5, 2.5, (61, 1))
+        f_inf = model.flux(v_inf)
+        w, failed = _lf_step(model, mu, v, f_inf)
+        w_ref, failed_ref = _lf_step_sequential(model, mu, v, f_inf)
+        assert np.array_equal(failed, failed_ref), mu
+        assert np.array_equal(w, w_ref), mu  # the failed states' last rung included
+        n_failed += np.count_nonzero(failed)
+    assert n_failed > 0
+
+
+def test_failing_step_makes_at_most_two_flux_calls_per_newton_iteration():
+    # the last step of a non-member profile fails: its halvings take one
+    # flux call per Newton iteration, not one per halving
+    prof = discrete_layer_membership(BURGERS, ("lf", 0.1, 0.5), 1.03, -0.5)
+    assert prof.verdict == "diverged"
+    calls = {"flux": 0, "dflux": 0}
+
+    def counted(name):
+        def fn(u):
+            calls[name] += 1
+            return getattr(BURGERS, name)(u)
+        return fn
+
+    model = dataclasses.replace(BURGERS, flux=counted("flux"), dflux=counted("dflux"))
+    w, failed = _lf_step(model, 0.1, np.array([[prof.states[-1]]]),
+                         BURGERS.flux(np.array([[-0.5]])))
+    assert failed[0]
+    # one call at v, then per Newton iteration (one dflux call) the full
+    # step and at most one ladder
+    assert calls["dflux"] > 0
+    assert calls["flux"] <= 1 + 2 * calls["dflux"]
+
+
 # Viscous layer profiles ------------------------------------------------------
 
 
@@ -188,6 +264,20 @@ def test_profile_matches_solve_ivp():
         verdicts.add(verdict)
     assert len(cases) >= 300
     assert verdicts >= {"converged", "diverged", "stalled"}
+
+
+def test_profile_stopped_by_step_underflow_diverges():
+    # f(1e102) is finite but the trajectory leaves at once: the step falls
+    # below its smallest size long before y_max, whatever the end distance
+    prof = viscous_layer_profile(CUBIC, 1e102, -0.5)
+    assert prof.ys[-1] < 1e-100
+    assert prof.verdict == "diverged"
+
+
+def test_profile_with_non_finite_start_velocity_raises():
+    # f(u_B) = inf: the initial-step estimate would divide by a zero step
+    with pytest.raises(ValueError, match="velocity at u_B is not finite"):
+        viscous_layer_profile(CUBIC, 1e103, -0.5)
 
 
 def test_profile_needs_constant_diagonal_viscosity_and_positive_horizon():

@@ -574,3 +574,12 @@ def test_zero_step_run_stores_one_level(scheme):
                         store_all=True)
     assert sol.history.shape == (1, 40)
     assert np.array_equal(sol.history[0], sol.snapshots[0]) and sol.history[0, 0] == 0.5
+
+
+@pytest.mark.parametrize("scheme", ["lf", "split", "godunov"])
+def test_residual_of_one_cell_run_names_the_cause(scheme):
+    # the only cell is pinned, so there is no interior cell to check
+    sol = _conservative(scheme, BURGERS, -0.3, 0.5, h=0.02, t_end=0.1, n_cells=1,
+                        store_all=True)
+    with pytest.raises(ValueError, match="entropy residual: a 1-cell run has no interior cell"):
+        discrete_entropy_residual(BURGERS, sol)

@@ -349,3 +349,18 @@ def test_custom_stress_takes_the_quad_fallback():
     want = u_B + np.sign(vs - v_B) * np.sqrt(2.0 * excess)
     got = elasto_layer_curve(m, (v_B, u_B), vs).points[:, 1]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["burgers", "cubic"])
+def test_float_state_takes_float_arithmetic_with_array_bits(name):
+    # a float state gives a float back, with the bits of a 1-element array
+    model = make_model(name)
+    entropy_flux = model.entropies[0].F
+    rng = np.random.default_rng(30)
+    xs = rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-3.0, 100.0, 10_000)
+    for x in xs.tolist():
+        assert type(model.flux(x)) is float and type(model.dflux(x)) is float
+        for fn in (model.flux, model.dflux):
+            assert np.array([fn(x)]).tobytes() == fn(np.array([x])).tobytes(), (fn, x)
+        with np.errstate(over="ignore"):  # u^4 overflows above 1e77 on both paths
+            assert np.array([entropy_flux(x)]).tobytes() == entropy_flux(np.array([x])).tobytes()
