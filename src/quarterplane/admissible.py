@@ -21,7 +21,7 @@ import numpy as np
 from quarterplane.layers import elasto_layer_curve, viscous_member_scalar
 from quarterplane.riemann import godunov_trace_scalar
 from quarterplane.schemes import numerical_flux
-from quarterplane.systems import SystemModel, UnsupportedModelError, kruzkov_pair
+from quarterplane.systems import SystemModel, UnsupportedModelError, kruzkov_pair, stress_law
 
 __all__ = [
     "ScalarSet",
@@ -352,18 +352,18 @@ def inclusion_audit(model: SystemModel, u_B, regularization, n_samples: int = 10
         return AuditReport(model.name, float(u_B), regularization, n_samples,
                            n_members, tuple(violations))
 
-    if model.name != "elastodynamics" or regularization != "viscous":
+    stress_law(model, "a system audit")
+    if regularization != "viscous":
         raise UnsupportedModelError("system audits are supported for the viscous p-system")
     u_B = np.asarray(u_B, dtype=float)
-    n_curve = n_samples // 2
-    vs = u_B[0] + rng.uniform(-0.5, 0.5, max(n_curve, 0))
-    curve = elasto_layer_curve(model, u_B, vs) if n_curve else None
-    n_members = n_curve
-    if curve is not None:
-        for pt in curve.points:
-            ok, worst = entropy_check(model, pt, u_B)
-            if not ok:
-                violations.append((float(pt[0]), float(pt[1]), worst))
+    n_curve = max(n_samples // 2, 0)
+    # strains within 0.5 of v_B, and closer than half its distance to the region's bound
+    half = min(0.5, 0.5 * (u_B[0] - model.state_region[0][0]))
+    vs = u_B[0] + rng.uniform(-half, half, n_curve)
+    for pt in elasto_layer_curve(model, u_B, vs).points:
+        ok, worst = entropy_check(model, pt, u_B)
+        if not ok:
+            violations.append((float(pt[0]), float(pt[1]), worst))
     # off-curve samples are not layer members; the implication is vacuous
     return AuditReport(model.name, tuple(u_B), regularization, n_samples,
-                       n_members, tuple(violations))
+                       n_curve, tuple(violations))

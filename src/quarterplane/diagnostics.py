@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from quarterplane.admissible import entropy_check
+from quarterplane.layers import interp_states
 from quarterplane.schemes import GridSolution
 from quarterplane.systems import SystemModel
 
@@ -41,11 +42,7 @@ class TraceReport:
     oscillation_suspected: bool
 
     def profile_interp(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.profile_states.ndim == 1:
-            return np.interp(y, self.profile_y, self.profile_states)
-        return np.stack([np.interp(y, self.profile_y, self.profile_states[:, i])
-                         for i in range(self.profile_states.shape[1])], axis=-1)
+        return interp_states(y, self.profile_y, self.profile_states)
 
 
 def _default_probe(sol: GridSolution) -> int:

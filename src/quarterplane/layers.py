@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quarterplane.riemann import godunov_trace_scalar
-from quarterplane.systems import SystemModel, UnsupportedModelError, eigen_structure, quad_integral
+from quarterplane.systems import SystemModel, UnsupportedModelError, eigen_structure, quad_integral, stress_law
 
 __all__ = [
     "LayerProfile",
@@ -68,11 +68,15 @@ class LayerProfile:
 
     def interp(self, y):
         """Piecewise-linear sample of the profile at y (continuous kind)."""
-        y = np.asarray(y, dtype=float)
-        if self.states.ndim == 1:
-            return np.interp(y, self.ys, self.states)
-        return np.stack([np.interp(y, self.ys, self.states[:, i])
-                         for i in range(self.states.shape[1])], axis=-1)
+        return interp_states(y, self.ys, self.states)
+
+
+def interp_states(y, ys, states):
+    """Piecewise-linear sample at y of states, shape (len(ys),) or (len(ys), N), given at ys."""
+    y = np.asarray(y, dtype=float)
+    if states.ndim == 1:
+        return np.interp(y, ys, states)
+    return np.stack([np.interp(y, ys, states[:, i]) for i in range(states.shape[1])], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -269,7 +273,7 @@ def viscous_layer_profile(model: SystemModel, u_B, v_inf, y_max: float = 200.0) 
     as_state, dist = (float, abs) if n == 1 else (np.asarray, np.linalg.norm)
     f_inf = model.flux(limit)
     tol = tol_conv(vi)
-    blow = 10.0 * (1.0 + np.linalg.norm(u0 - vi) + np.linalg.norm(vi))
+    blow = 10.0 * (1.0 + _norms(u0 - vi) + _norms(vi))
     lows = [(i, lo + 1e-9) for i, (lo, _) in enumerate(model.state_region) if np.isfinite(lo)]
 
     def rhs(v):
@@ -287,14 +291,12 @@ def viscous_layer_profile(model: SystemModel, u_B, v_inf, y_max: float = 200.0) 
 
     if status:  # an event, or a step underflow: the run stopped short of y_max
         verdict = "diverged"
-    elif d_end <= tol and _monotone_tail(dists):
-        verdict = "converged"
-    elif speed_end < 1e-6 * (1.0 + np.linalg.norm(f_inf)) and d_end > tol:
-        verdict = "stalled"
-    elif d_end > tol:
-        verdict = "horizon-reached" if d_end < blow * 0.5 else "diverged"
-    else:
+    elif d_end <= tol:
         verdict = "converged" if _monotone_tail(dists) else "horizon-reached"
+    elif speed_end < 1e-6 * (1.0 + np.linalg.norm(f_inf)):
+        verdict = "stalled"
+    else:
+        verdict = "horizon-reached" if d_end < blow * 0.5 else "diverged"
     return LayerProfile("continuous", ys, states, u0, vi, verdict, d_end)
 
 
@@ -595,19 +597,20 @@ def lagrangian_quadratic_roots(lam: float, state_y, limit):
 
 
 def elasto_layer_curve(model: SystemModel, base, v_inf_range) -> CurveSet:
-    """The admissible-limit curve of the viscous layer for the p-system.
+    """The admissible-limit curve of the viscous layer for a p-system.
 
     u_inf(v_inf) = u_B -+ sqrt(2 * integral of (sigma - sigma(v_inf))), with
     the minus branch for v_inf < v_B and the plus branch for v_inf > v_B.
+    Strains outside the model's state region raise ValueError.
     """
-    if model.name != "elastodynamics":
-        raise UnsupportedModelError("elasto_layer_curve requires the elastodynamics model")
+    law = stress_law(model, "elasto_layer_curve")
     v_B, u_B = float(base[0]), float(base[1])
-    sp = model.params["sigma_prime"]
     vs = np.asarray(v_inf_range, dtype=float)
-    excess = model.params.get("sigma_excess")
+    if not np.all(np.append(vs, v_B) > model.state_region[0][0]):
+        raise ValueError("layer-curve strains outside the model's state region")
+    excess = law["sigma_excess"]
     if excess is None:
-        sig = model.params["sigma"]
+        sig = law["sigma"]
 
         def excess(v_i, v_B):
             sig_i = float(sig(v_i))
@@ -619,11 +622,6 @@ def elasto_layer_curve(model: SystemModel, base, v_inf_range) -> CurveSet:
         du = np.sqrt(2.0 * excess(v_i, v_B))
         return u_B - du if v_i < v_B else u_B + du
 
-    pts = np.array([[v, u_inf(v)] for v in vs])
-    t = np.array([1.0, np.sqrt(float(sp(v_B)))])
-    return CurveSet(
-        base_point=np.array([v_B, u_B]),
-        points=pts,
-        tangent=t / np.linalg.norm(t),
-        dimension=1,
-    )
+    t = np.array([1.0, np.sqrt(float(law["sigma_prime"](v_B)))])
+    return CurveSet(base_point=np.array([v_B, u_B]), points=np.array([[v, u_inf(v)] for v in vs]),
+                    tangent=t / np.linalg.norm(t), dimension=1)

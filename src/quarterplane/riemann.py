@@ -3,10 +3,11 @@
 Scalar fans are the convex/concave envelope of the flux on the data interval,
 in closed form for a convex flux or a cubic with one inflection point; their
 trace is the extremizer of f on that interval (Osher, SIAM J. Numer. Anal.
-21, 1984).  The p-system of nonlinear elasticity is solved by intersecting
-its two wave curves with a damped Newton iteration.  The trace returned by
-every solver is the right limit of the self-similar solution at x/t = 0+: a
-stationary shock therefore contributes its *right* state.
+21, 1984).  A p-system (elasticity; Lagrangian gas, sigma = -p) is solved by
+intersecting its two Lax-admissible wave curves with a damped Newton
+iteration that keeps the strain inside the model's state region.  The trace
+returned by every solver is the right limit of the self-similar solution at
+x/t = 0+: a stationary shock therefore contributes its *right* state.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quarterplane.systems import SystemModel, UnsupportedModelError, quad_integral
+from quarterplane.systems import SystemModel, UnsupportedModelError, quad_integral, stress_law
 
 __all__ = [
     "Wave",
@@ -161,8 +162,7 @@ def godunov_flux(model: SystemModel, u_left, u_right):
     """The Godunov numerical flux f(R(u_left, u_right))."""
     if model.dimension == 1:
         return _godunov_scalar(model, u_left, u_right)[1][()]  # a 0-d result unwrapped
-    fan = psystem_riemann_trace(model, u_left, u_right)
-    return fan.flux_at_zero
+    return psystem_riemann_trace(model, u_left, u_right).flux_at_zero
 
 
 # --- Convex-flux conjugate states and cubic companions -----------------------
@@ -198,63 +198,73 @@ def _sqrt_sigma_p_integral(model, v0, v1):
     return quad_integral(lambda s: np.sqrt(float(sp(s))), v0, v1)
 
 
-def _wave_offset(model, v, v_end):
-    """u - u_end along the wave curve through the state with strain v_end:
-    the rarefaction integral for v <= v_end, the shock chord otherwise."""
-    if v <= v_end:
-        return _sqrt_sigma_p_integral(model, v_end, v)
-    sig = model.params["sigma"]
-    return np.sqrt((float(sig(v)) - float(sig(v_end))) * (v - v_end))
-
-
-def _wave_slope(model, v, v_end):
-    """d/dv of ``_wave_offset``."""
+def _wave_curve(model, v_end):
+    """The wave curve through the state with strain v_end as three functions of
+    v: whether v is on its rarefaction side, u - u_end and its slope.  Lax: the
+    rarefaction side is where sigma' is below sigma'(v_end), v <= v_end where
+    sigma' rises (the elastic law at v >= 0), v >= v_end where it falls (the
+    gas); the shock chord holds on the other."""
     sig, sp = model.params["sigma"], model.params["sigma_prime"]
-    dv = v - v_end
-    dsig = float(sig(v)) - float(sig(v_end))
-    prod = dsig * dv
-    if v <= v_end or prod <= 0.0:
-        return np.sqrt(float(sp(v)))
-    return (float(sp(v)) * dv + dsig) / (2.0 * np.sqrt(prod))
+    sig_end = float(sig(v_end))
+    rises = float(sp(v_end + 1e-6 * (1.0 + abs(v_end)))) >= float(sp(v_end))
+
+    def rarefaction(v):
+        return v <= v_end if rises else v >= v_end
+
+    def offset(v):
+        if rarefaction(v):
+            return _sqrt_sigma_p_integral(model, v_end, v)
+        return np.copysign(np.sqrt((float(sig(v)) - sig_end) * (v - v_end)), v - v_end)
+
+    def slope(v):
+        dv = v - v_end
+        dsig = float(sig(v)) - sig_end
+        prod = dsig * dv
+        if prod <= 0.0 or rarefaction(v):
+            return np.sqrt(float(sp(v)))
+        return abs(float(sp(v)) * dv + dsig) / (2.0 * np.sqrt(prod))
+
+    return rarefaction, offset, slope
 
 
 def _phi1(model, v, left):
     """u on the forward 1-wave curve through ``left`` at specific strain v."""
-    return left[1] + _wave_offset(model, v, left[0])
+    return left[1] + _wave_curve(model, left[0])[1](v)
 
 
 def _phi2(model, v, right):
     """u of the middle state whose 2-wave reaches ``right``."""
-    return right[1] - _wave_offset(model, v, right[0])
+    return right[1] - _wave_curve(model, right[0])[1](v)
 
 
 def psystem_riemann_trace(model: SystemModel, left, right,
                           max_iter: int = 100, tol: float = 1e-12) -> RiemannFan:
-    """Two-wave Riemann solution of the p-system, traced at x/t = 0+."""
-    if model.name != "elastodynamics":
-        raise UnsupportedModelError("psystem_riemann_trace requires the elastodynamics model")
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    sig, sp = model.params["sigma"], model.params["sigma_prime"]
+    """Two-wave Riemann solution of a p-system (``stress_law``), traced at
+    x/t = 0+.  Data outside the model's state region raise ValueError."""
+    law = stress_law(model, "psystem_riemann_trace")
+    left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+    if not model.in_region(np.stack([left, right])):
+        raise ValueError("Riemann data outside the model's state region")
 
     if np.allclose(left, right, rtol=0.0, atol=1e-15):
         return RiemannFan(left, right, (), right.copy(), np.asarray(model.flux(right)))
 
-    lo_v = min(left[0], right[0]) - 10.0
+    lo_v = max(model.state_region[0][0], min(left[0], right[0]) - 10.0)
     scale = 1.0 + abs(left[1]) + abs(right[1])
 
-    def g(v):
-        return _phi1(model, v, left) - _phi2(model, v, right)
+    rare_l, off_l, slope_l = _wave_curve(model, left[0])
+    rare_r, off_r, slope_r = _wave_curve(model, right[0])
+
+    def g(v):  # the 1-wave curve through left minus the 2-wave curve into right
+        return (left[1] + off_l(v)) - (right[1] - off_r(v))
 
     def dg(v):
-        return _wave_slope(model, v, left[0]) + _wave_slope(model, v, right[0])
+        return slope_l(v) + slope_r(v)
 
     v = 0.5 * (left[0] + right[0])
     gv = g(v)
-    converged = False
     for _ in range(max_iter):
         if abs(gv) <= tol * scale:
-            converged = True
             break
         step = -gv / dg(v)
         # damping: halve until the residual decreases and we stay in range
@@ -268,22 +278,21 @@ def psystem_riemann_trace(model: SystemModel, left, right,
         else:
             raise SolverFailure("damped Newton stalled in the p-system solver")
         v, gv = v_new, g_new
-    if not converged and abs(gv) > tol * scale:
+    if abs(gv) > tol * scale:
         raise SolverFailure("p-system wave-curve intersection did not converge")
 
-    u_mid = _phi1(model, v, left)
-    middle = np.array([v, u_mid])
+    middle = np.array([v, left[1] + off_l(v)])
 
     waves = []  # the 1-wave left -> middle, then the 2-wave middle -> right
-    for sign, a, b, v_end in ((-1.0, left, middle, left[0]), (1.0, middle, right, right[0])):
+    for sign, a, b, v_end, rare in ((-1.0, left, middle, left[0], rare_l),
+                                    (1.0, middle, right, right[0], rare_r)):
         if abs(v - v_end) <= 1e-14 * (1.0 + abs(v)):
             continue
-        if v > v_end:
-            s = sign * np.sqrt((float(sig(v)) - float(sig(v_end))) / (v - v_end))
+        if not rare(v):
+            s = sign * np.sqrt((float(law["sigma"](v)) - float(law["sigma"](v_end))) / (v - v_end))
             waves.append(Wave("shock", a.copy(), b.copy(), (s, s)))
         else:
-            speeds = tuple(sign * np.sqrt(float(sp(x[0]))) for x in (a, b))
+            speeds = tuple(sign * np.sqrt(float(law["sigma_prime"](x[0]))) for x in (a, b))
             waves.append(Wave("rarefaction", a.copy(), b.copy(), speeds))
 
-    trace = middle.copy()
-    return RiemannFan(left, right, tuple(waves), trace, np.asarray(model.flux(trace)))
+    return RiemannFan(left, right, tuple(waves), middle, np.asarray(model.flux(middle)))

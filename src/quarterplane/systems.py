@@ -21,6 +21,7 @@ __all__ = [
     "HyperbolicityError",
     "UnsupportedModelError",
     "make_model",
+    "stress_law",
     "eigen_structure",
     "classify_euler_region",
     "entropy_eval",
@@ -103,14 +104,10 @@ class SystemModel:
     level_roots: Optional[Callable] = None
 
     def in_region(self, state) -> bool:
-        u = np.atleast_1d(np.asarray(state, dtype=float))
-        if self.dimension == 1:
-            lo, hi = self.state_region[0]
-            return bool(np.all(u > lo) and np.all(u < hi))
-        ok = True
-        for i, (lo, hi) in enumerate(self.state_region):
-            ok = ok and bool(np.all(u[..., i] > lo) and np.all(u[..., i] < hi))
-        return ok
+        u = np.asarray(state, dtype=float)
+        lo, hi = np.array(self.state_region, dtype=float).T
+        u = u[..., None] if self.dimension == 1 else u
+        return bool(np.all((u > lo) & (u < hi)))
 
     def viscosity_diagonal(self, states) -> np.ndarray:
         """The diagonal of B, checked to be diagonal and equal at the given
@@ -406,10 +403,30 @@ def _make_elastodynamics(params):
     # closed forms of the default stress; a user-supplied law gets None, and
     # its integrals fall back to quadrature
     custom = "sigma" in params or "sigma_prime" in params
-    sqrt_sp = None if custom else _default_sqrt_stress_prime_integral
-    excess = None if custom else _default_stress_excess
     if sigma_p(1.0) <= 0.0 or sigma_p(-1.0) <= 0.0:
         raise ValueError("stress law must satisfy sigma' > 0")
+    return _make_psystem("elastodynamics", {
+        "sigma": sigma, "sigma_prime": sigma_p, "sigma_energy": sigma_int,
+        "sqrt_sigma_prime_integral": None if custom else _default_sqrt_stress_prime_integral,
+        "sigma_excess": None if custom else _default_stress_excess})
+
+
+# Lagrangian gas dynamics, v_t - u_x = 0, u_t + p(v)_x = 0 with p = 1/v (Smoller,
+# Shock Waves and Reaction-Diffusion Equations, ch. 17): sigma = -p on v > 0.
+_GAS_LAW = {
+    "sigma": lambda v: -1.0 / np.asarray(v, dtype=float),
+    "sigma_prime": lambda v: 1.0 / np.square(np.asarray(v, dtype=float)),
+    "sigma_energy": lambda v: -np.log(v),
+    "sqrt_sigma_prime_integral": lambda v0, v1: math.log(v1 / v0),
+    "sigma_excess": None,
+}
+
+
+def _make_psystem(name, law, v_min=-np.inf):
+    """The p-system v_t - u_x = 0, u_t - sigma(v)_x = 0 on the strains v > v_min.
+    ``law``, its ``params``, holds sigma, sigma' > 0, the energy (an integral
+    of sigma) and the closed forms of two integrals, or None (quadrature)."""
+    sigma, sigma_p, sigma_int = law["sigma"], law["sigma_prime"], law["sigma_energy"]
 
     def f(u):
         u = np.asarray(u, dtype=float)
@@ -431,12 +448,11 @@ def _make_elastodynamics(params):
         label="mechanical-energy",
     )
     return SystemModel(
-        name="elastodynamics", dimension=2, flux=f, jacobian=jac,
+        name=name, dimension=2, flux=f, jacobian=jac,
         entropies=(energy,) + _trivial_pairs_system(f, 2),
         viscosity=lambda u: np.eye(2),
-        state_region=((-np.inf, np.inf), (-np.inf, np.inf)),
-        params={"sigma": sigma, "sigma_prime": sigma_p, "sigma_energy": sigma_int,
-                "sqrt_sigma_prime_integral": sqrt_sp, "sigma_excess": excess},
+        state_region=((v_min, np.inf), (-np.inf, np.inf)),
+        params=dict(law),
         max_char_speed=lambda u: np.sqrt(sigma_p(np.asarray(u, dtype=float)[..., 0])),
     )
 
@@ -495,35 +511,6 @@ def _make_euler(params):
     )
 
 
-def _make_lagrangian(params):
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        out = np.empty_like(u)
-        out[..., 0] = -u[..., 1]
-        out[..., 1] = 1.0 / u[..., 0]
-        return out
-
-    def jac(u):
-        v = float(u[0])
-        return np.array([[0.0, -1.0], [-1.0 / (v * v), 0.0]])
-
-    energy = EntropyPair(
-        U=lambda u: 0.5 * np.asarray(u, dtype=float)[..., 1] ** 2 - np.log(np.asarray(u, dtype=float)[..., 0]),
-        F=lambda u: np.asarray(u, dtype=float)[..., 1] / np.asarray(u, dtype=float)[..., 0],
-        grad_U=lambda u: np.array([-1.0 / u[0], u[1]]),
-        hess_U=lambda u: np.diag([1.0 / u[0] ** 2, 1.0]),
-        convexity="strictly-convex",
-        label="mechanical-energy",
-    )
-    return SystemModel(
-        name="lagrangian_gas", dimension=2, flux=f, jacobian=jac,
-        entropies=(energy,) + _trivial_pairs_system(f, 2),
-        viscosity=lambda u: np.eye(2),
-        state_region=((0.0, np.inf), (-np.inf, np.inf)),
-        max_char_speed=lambda u: 1.0 / np.asarray(u, dtype=float)[..., 0],
-    )
-
-
 # name -> (factory, the parameter keys it reads)
 _FACTORIES = {
     "burgers": (_make_burgers, ()),
@@ -531,7 +518,7 @@ _FACTORIES = {
     "linear2": (_make_linear2, ("A", "B")),
     "elastodynamics": (_make_elastodynamics, ("sigma", "sigma_prime", "sigma_energy")),
     "euler_isentropic": (_make_euler, ("gamma",)),
-    "lagrangian_gas": (_make_lagrangian, ()),
+    "lagrangian_gas": (lambda params: _make_psystem("lagrangian_gas", _GAS_LAW, v_min=0.0), ()),
 }
 
 
@@ -550,6 +537,14 @@ def make_model(name: str, **params) -> SystemModel:
 
 
 # --- Model-specific helpers --------------------------------------------------
+
+
+def stress_law(model: SystemModel, task: str) -> dict:
+    """The stress law of a p-system model, its ``params`` (``_make_psystem``);
+    UnsupportedModelError naming ``task`` for a model without one."""
+    if "sigma" not in model.params:
+        raise UnsupportedModelError(f"{task} requires a p-system (a model with a stress law)")
+    return model.params
 
 
 def classify_euler_region(model: SystemModel, state) -> str:

@@ -326,6 +326,19 @@ def test_inclusion_audit_elasto():
     assert rep.ok, rep
 
 
+def test_inclusion_audit_lagrangian_gas_near_vacuum():
+    # v_B = 0.3: the curve strains stay inside v > 0, so no warning is raised
+    rep = inclusion_audit(make_model("lagrangian_gas"), np.array([0.3, 0.0]), "viscous",
+                          n_samples=200, seed=5)
+    assert rep.ok, rep
+    assert rep.n_layer_members == 100
+
+
+def test_inclusion_audit_needs_a_stress_law():
+    with pytest.raises(UnsupportedModelError, match="stress law"):
+        inclusion_audit(make_model("linear2"), np.array([1.0, 0.0]), "viscous", n_samples=10)
+
+
 def test_inclusion_audit_empty():
     rep = inclusion_audit(BURGERS, 1.0, "viscous", n_samples=0)
     assert rep.ok and rep.n_layer_members == 0

@@ -454,6 +454,32 @@ def test_lagrangian_zero_volume_start_exit_3(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_lagrangian_gas_riemann_and_layer_curve(tmp_path):
+    # lagrangian_gas is a p-system: the riemann task and the elasto-curve mode take it
+    riemann = {"task": "riemann", "model": {"name": "lagrangian_gas"},
+               "params": {"left": [1.0, -0.3], "right": [1.0, 0.3]}}
+    curve = {"task": "layer", "model": {"name": "lagrangian_gas"},
+             "params": {"mode": "elasto-curve", "base": [1.0, 0.0], "v_inf_range": [0.5, 2.0]}}
+    for name, cfg in (("riemann", riemann), ("curve", curve)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        assert cli.main([cfg["task"], "--config", str(tmp_path / f"{name}.json"),
+                         "--out", str(tmp_path / name)]) == 0
+    with open(tmp_path / "riemann" / "riemann.json") as fh:
+        fan = json.load(fh)
+    # the gas expands: two rarefactions, and the middle volume grows
+    assert [w["kind"] for w in fan["waves"]] == ["rarefaction", "rarefaction"]
+    assert fan["trace"][0] > 1.0 and fan["trace"][1] == pytest.approx(0.0, abs=1e-12)
+    with open(tmp_path / "curve" / "layer.json") as fh:
+        assert len(json.load(fh)["points"]) == 2
+    # a volume of 0 is outside the model's state region: a numerical error
+    curve["params"]["v_inf_range"] = [0.0]
+    riemann["params"]["left"] = [-1.0, 0.0]
+    for cfg in (riemann, curve):
+        (tmp_path / f"bad_{cfg['task']}").mkdir()
+        code, rep = _run_in_process(cfg, tmp_path / f"bad_{cfg['task']}")
+        assert code == 3 and "state region" in rep["message"]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 

@@ -62,3 +62,25 @@ def test_viscous_layer_profiles_do_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", LAYER_SCRIPT], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+GAS_SCRIPT = r'''
+import json
+import sys
+
+from quarterplane import cli
+
+with open("gas.json", "w") as fh:  # a shock and a rarefaction of the Lagrangian gas
+    json.dump({"task": "riemann", "model": {"name": "lagrangian_gas"},
+               "params": {"left": [1.0, -0.5], "right": [1.5, 0.3]}}, fh)
+assert cli.main(["riemann", "--config", "gas.json", "--out", "gas"]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))[:5]
+'''
+
+
+def test_lagrangian_gas_riemann_does_not_import_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", GAS_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -280,6 +280,14 @@ def test_profile_with_non_finite_start_velocity_raises():
         viscous_layer_profile(CUBIC, 1e103, -0.5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_start_raises_the_named_error_not_an_overflow_warning():
+    # the blow-up bound is a hypot reduction: |u_B| = 1e155 squared would
+    # overflow before the integrator could name the non-finite velocity
+    with pytest.raises(ValueError, match="velocity at u_B is not finite"):
+        viscous_layer_profile(BURGERS, 1e155, -0.5)
+
+
 def test_profile_needs_constant_diagonal_viscosity_and_positive_horizon():
     state_dependent = dataclasses.replace(
         BURGERS, viscosity=lambda u: np.array([[1.0 + float(u) ** 2]]))
@@ -472,6 +480,50 @@ def test_lagrangian_roots_share_the_step_guards():
         for fn in (lagrangian_quadratic_roots, lagrangian_layer_iterate):
             with pytest.raises(ValueError):
                 fn(0.2, state, limit)
+
+
+def test_lagrangian_closed_form_step_is_the_lf_step_at_q_one_half():
+    # the closed-form recursion is the LF layer step of the p-system with
+    # sigma = -1/v at q = 1/2, mu = lam
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(400):
+        lam = rng.uniform(0.05, 0.4)
+        limit = np.array([rng.uniform(0.5, 3.0), rng.uniform(-1.0, 1.0)])
+        state = limit + rng.uniform(-0.2, 0.2, 2)
+        try:
+            want = lagrangian_layer_iterate(lam, state, limit)
+        except ValueError:  # N^2 < 4: no real root
+            continue
+        w, failed = _lf_step(LAGR, lam, state[None], LAGR.flux(limit[None]))
+        assert not failed[0]
+        assert np.max(np.abs(w[0] - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+        checked += 1
+    assert checked >= 300
+
+
+def test_lagrangian_gas_layer_curve_matches_the_closed_form_energy_integral():
+    # integral of sigma(s) - sigma(v_i) = 1/v_i - 1/s over [v_i, v_B] is
+    # x - log(1 + x), x = (v_B - v_i)/v_i
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        v_B, u_B = rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0)
+        vs = np.sort(rng.uniform(0.1, 4.0, 12))
+        x = (v_B - vs) / vs
+        want = u_B + np.sign(vs - v_B) * np.sqrt(2.0 * (x - np.log1p(x)))
+        curve = elasto_layer_curve(LAGR, (v_B, u_B), vs)
+        np.testing.assert_array_equal(curve.points[:, 0], vs)
+        np.testing.assert_allclose(curve.points[:, 1], want, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(curve.tangent, np.array([v_B, 1.0]) / np.hypot(v_B, 1.0))
+
+
+def test_layer_curve_refuses_strains_outside_the_region():
+    with pytest.raises(ValueError, match="state region"):
+        elasto_layer_curve(LAGR, (1.0, 0.0), [0.5, 0.0])
+    with pytest.raises(ValueError, match="state region"):
+        elasto_layer_curve(LAGR, (-1.0, 0.0), [0.5])
+    with pytest.raises(UnsupportedModelError, match="stress law"):
+        elasto_layer_curve(LINEAR2, (1.0, 0.0), [0.5])
 
 
 def test_lagrangian_saddle_dynamics():

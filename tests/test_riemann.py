@@ -17,6 +17,7 @@ from quarterplane.systems import make_model
 BURGERS = make_model("burgers")
 CUBIC = make_model("cubic")
 ELASTO = make_model("elastodynamics")
+LAGR = make_model("lagrangian_gas")
 
 
 # Scalar traces ---------------------------------------------------------------
@@ -244,3 +245,62 @@ def test_psystem_residual_and_lax():
         assert speeds == sorted(speeds)
         # conservation at the standing ray
         np.testing.assert_allclose(fan.flux_at_zero, ELASTO.flux(mid), atol=1e-12)
+
+
+def _lax_admissible(model, fan):
+    """Every shock is faster than the characteristics ahead of it and slower
+    than those behind; every rarefaction fans out."""
+    sp = model.params["sigma_prime"]
+    for w in fan.waves:
+        if w.kind == "rarefaction":
+            assert w.speed_range[0] <= w.speed_range[1]
+            continue
+        s, c_l, c_r = w.speed, np.sqrt(float(sp(w.left[0]))), np.sqrt(float(sp(w.right[0])))
+        assert (-c_r < s < -c_l) if s < 0 else (c_r < s < c_l)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lagrangian_gas_traces_lie_on_the_admissible_wave_curves():
+    # p = 1/v: the 1-wave curve through (v_L, u_L) is u = u_L + log(v/v_L)
+    # (rarefaction, v >= v_L) and u = u_L - sqrt((1/v_L - 1/v)(v - v_L))
+    # (shock, v < v_L); the 2-wave curve through (v_R, u_R) has u_R - u in
+    # their place.  The gas expands in a rarefaction and is compressed by a shock.
+    def curve_u(v, end, sign):
+        v_e, u_e = end
+        if v >= v_e:
+            return u_e + sign * np.log(v / v_e)
+        return u_e - sign * np.sqrt((1.0 / v_e - 1.0 / v) * (v - v_e))
+
+    rng = np.random.default_rng(31)
+    kinds = set()
+    for _ in range(1000):
+        left = np.array([rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0)])
+        right = np.array([rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0)])
+        fan = psystem_riemann_trace(LAGR, left, right)
+        v, u = fan.trace_at_zero_plus
+        scale = 1.0 + abs(left[1]) + abs(right[1])
+        assert abs(curve_u(v, left, 1.0) - u) <= 1e-10 * scale
+        assert abs(curve_u(v, right, -1.0) - u) <= 1e-10 * scale
+        _lax_admissible(LAGR, fan)
+        kinds.update(w.kind for w in fan.waves)
+    assert kinds == {"shock", "rarefaction"}
+
+
+def test_elastic_waves_at_negative_strains_are_lax_admissible():
+    # sigma'' = 2v < 0 there: the waves take the gas's orientation
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        left = np.array([rng.uniform(-2.5, -1.0), rng.uniform(-0.3, 0.3)])
+        right = np.array([rng.uniform(-2.5, -1.0), rng.uniform(-0.3, 0.3)])
+        fan = psystem_riemann_trace(ELASTO, left, right)
+        assert fan.trace_at_zero_plus[0] < 0.0
+        _lax_admissible(ELASTO, fan)
+
+
+def test_psystem_refuses_data_outside_the_region_and_models_without_stress():
+    from quarterplane.systems import UnsupportedModelError
+
+    with pytest.raises(ValueError, match="state region"):
+        psystem_riemann_trace(LAGR, (0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(UnsupportedModelError, match="stress law"):
+        psystem_riemann_trace(make_model("euler_isentropic"), (1.0, 0.0), (1.0, 0.1))

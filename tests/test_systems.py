@@ -364,3 +364,58 @@ def test_float_state_takes_float_arithmetic_with_array_bits(name):
             assert np.array([fn(x)]).tobytes() == fn(np.array([x])).tobytes(), (fn, x)
         with np.errstate(over="ignore"):  # u^4 overflows above 1e77 on both paths
             assert np.array([entropy_flux(x)]).tobytes() == entropy_flux(np.array([x])).tobytes()
+
+
+def test_lagrangian_gas_is_the_p_system_of_sigma_minus_one_over_v():
+    from dataclasses import replace
+
+    from quarterplane.riemann import _sqrt_sigma_p_integral
+    from quarterplane.systems import UnsupportedModelError, stress_law
+
+    gas = make_model("lagrangian_gas")
+    rng = np.random.default_rng(41)
+    states = np.stack([rng.uniform(0.3, 3.0, 500), rng.uniform(-2.0, 2.0, 500)], axis=1)
+    np.testing.assert_array_equal(gas.flux(states),
+                                  np.stack([-states[:, 1], 1.0 / states[:, 0]], axis=1))
+    assert gas.state_region[0] == (0.0, np.inf)
+    law = stress_law(gas, "this test")
+    assert law["sqrt_sigma_prime_integral"] is not None and law["sigma_excess"] is None
+    # the closed-form rarefaction integral log(v1/v0) against quadrature
+    by_quad = replace(gas, params={**law, "sqrt_sigma_prime_integral": None})
+    for v0, v1 in rng.uniform(0.3, 3.0, (50, 2)):
+        assert _sqrt_sigma_p_integral(gas, v0, v1) == pytest.approx(np.log(v1 / v0), abs=1e-15)
+        assert abs(_sqrt_sigma_p_integral(by_quad, v0, v1) - np.log(v1 / v0)) <= 1e-9
+    for name in ("burgers", "linear2", "euler_isentropic"):
+        with pytest.raises(UnsupportedModelError, match="stress law"):
+            stress_law(make_model(name), "this test")
+
+
+def test_model_names_are_compared_only_by_the_euler_region_classifier():
+    # What a model can do is read from its capabilities, not its name.
+    # classify_euler_region keeps its check: its input, a primitive (rho, u)
+    # pair, only Euler defines.  Any `<name>.name` in a comparison counts.
+    import ast
+    from pathlib import Path
+
+    import quarterplane
+
+    found = []
+
+    class Finder(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Compare(self, node):
+            if any(isinstance(x, ast.Attribute) and x.attr == "name" and isinstance(x.value, ast.Name)
+                   for x in (node.left, *node.comparators)):
+                found.append((self.module, self.scope[-1]))
+            self.generic_visit(node)
+
+    for path in sorted(Path(quarterplane.__file__).parent.glob("*.py")):
+        Finder(path.name).visit(ast.parse(path.read_text()))
+    assert found == [("systems.py", "classify_euler_region")]
