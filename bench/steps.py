@@ -1,4 +1,4 @@
-"""The time of one scheme step, per scheme, and of one layer profile, printed as JSON.
+"""Times of one scheme step, one layer profile and one artifact write, printed as JSON.
 
     python3 bench/steps.py [--repeats 9] [--src DIR [DIR ...]]
 
@@ -19,9 +19,17 @@ arithmetic.  Each ``profile`` case computes one layer profile
 ``PROFILES`` times and reports the time per profile: ``viscous_layer_profile``
 of a Burgers and of a cubic member, and ``discrete_layer_membership`` (LF,
 lam 0.1, q 0.5) of a Burgers member and of a non-member, whose last step
-fails Newton.  One untimed run per case and tree comes first, so imports are
-not timed.  A case reports its unit (``step``, ``level`` or ``profile``) and
-count, the median over ``--repeats`` runs (at least 5) and every run.
+fails Newton.  Each ``write`` case calls ``cli._atomic_write`` ``WRITES``
+times with a text of about 2 KiB: to a new name each time (a first run
+into a fresh ``--out``), onto a file that already holds the same bytes (a
+rerun), and onto a file of the same length whose bytes differ (so the
+bytes are compared, then replaced).  Its files go in a new directory under
+the system's temporary directory (``TMPDIR``), removed at the end; a
+replace costs what the filesystem makes it cost, so put that directory on
+the device where the artifacts go.  One untimed run per case and tree comes
+first, so imports are not timed.  A case reports its unit (``step``,
+``level``, ``profile`` or ``write``) and count, the median over
+``--repeats`` runs (at least 5) and every run.
 
 ``--src`` names the source trees to import ``quarterplane`` from (default:
 ``src`` beside this script).  Given two trees, say a parent's and a
@@ -40,21 +48,25 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import itertools
 import json
 import os
 import platform
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 from importlib import metadata
 from pathlib import Path
 
 CELLS = 640
 PROFILES = 20
+WRITES = 50
 
 
 def load(src):
-    """The ``schemes``, ``systems`` and ``layers`` modules of the package
+    """The ``schemes``, ``systems``, ``layers`` and ``cli`` modules of the package
     under ``src``, imported afresh: a tree loaded before keeps its own
     module objects."""
     for name in [m for m in sys.modules if m.split(".")[0] == "quarterplane"]:
@@ -62,7 +74,7 @@ def load(src):
     sys.path.insert(0, src)
     try:
         return tuple(importlib.import_module("quarterplane." + name)
-                     for name in ("schemes", "systems", "layers"))
+                     for name in ("schemes", "systems", "layers", "cli"))
     finally:
         sys.path.remove(src)
 
@@ -72,9 +84,14 @@ def steps(sol):
     return int(round(sol.times[-1] / sol.tau))
 
 
-def cases(schemes, systems, layers):
+# two texts of about 2 KiB, of one length, that differ in bytes
+TEXTS = ["".join(f"{tag},{i / 7!r}\n" for i in range(112)) for tag in "ab"]
+
+
+def cases(schemes, systems, layers, cli, tmp):
     """{name: (unit, run)}, ``run`` a no-argument call returning how many
-    units (steps, stored levels or profiles) it took."""
+    units (steps, stored levels, profiles or writes) it took.  The write
+    cases use files in the directory ``tmp``."""
     burgers = systems.make_model("burgers")
     cubic = systems.make_model("cubic")
     elasto = systems.make_model("elastodynamics")
@@ -99,6 +116,17 @@ def cases(schemes, systems, layers):
             return PROFILES
         return "profile", run
 
+    def write(name_of):
+        def run():
+            for i in range(WRITES):
+                cli._atomic_write(*name_of(i))
+            return WRITES
+        return "write", run
+
+    fresh = itertools.count()
+    same, changed = os.path.join(tmp, "same.csv"), os.path.join(tmp, "changed.csv")
+    cli._atomic_write(same, TEXTS[0])
+
     lf_layer = ("lf", 0.1, 0.5)
     return {
         "viscous_burgers": ("step", lambda: steps(schemes.run_viscous(
@@ -118,6 +146,10 @@ def cases(schemes, systems, layers):
                                      1.0, -2.0),
         "profile_lf_nonmember": profile(layers.discrete_layer_membership, burgers, lf_layer,
                                         1.03, -0.5),
+        "write_new_name": write(lambda i: (os.path.join(tmp, f"new{next(fresh)}.csv"),
+                                           TEXTS[0])),
+        "write_same_bytes": write(lambda i: (same, TEXTS[0])),
+        "write_changed_bytes": write(lambda i: (changed, TEXTS[i % 2])),
     }
 
 
@@ -137,14 +169,23 @@ def main(argv=None) -> int:
     if args.repeats < 5:
         ap.error("--repeats must be at least 5")
     srcs = [str(Path(s).resolve()) for s in args.src]
-    runs = {src: cases(*load(src)) for src in srcs}
+    tmp = tempfile.mkdtemp(prefix="steps-")
+    try:
+        return measure(args.repeats, srcs, tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def measure(repeats, srcs, tmp):
+    """Time every case of every tree and print the JSON report."""
+    runs = {src: cases(*load(src), tmp=tempfile.mkdtemp(dir=tmp)) for src in srcs}
 
     per_unit = {src: {name: [] for name in runs[src]} for src in srcs}
     counts = {}
     for name in runs[srcs[0]]:
         for src in srcs:  # untimed: the first run also imports what the scheme needs
             runs[src][name][1]()
-        for i in range(args.repeats):
+        for i in range(repeats):
             for src in (srcs if i % 2 == 0 else srcs[::-1]):
                 t, counts[name] = unit_time(runs[src][name][1])
                 per_unit[src][name].append(t)
@@ -163,7 +204,7 @@ def main(argv=None) -> int:
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                     "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),
                     "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
-        "repeats": args.repeats,
+        "repeats": repeats,
         "trees": trees,
     }
     print(json.dumps(payload, indent=1))

@@ -4,8 +4,9 @@ Subcommands: simulate, layer, admissible, riemann, verify, study,
 list-examples.  Exit codes: 0 success, 2 configuration/schema error
 (including a model that lacks what the task needs), 3 numerical failure
 (including a non-finite result) or failed verification.  Artifacts are
-strict JSON or CSV, written atomically (temp file + rename), and are
-byte-identical for identical config + seed.
+strict JSON or CSV, written atomically (temp file + rename); a file that
+already holds the exact bytes is left as it is (same inode and mtime).  They
+are byte-identical for identical config + seed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from importlib import resources
@@ -31,8 +33,10 @@ TASKS = ("simulate", "layer", "admissible", "riemann", "study")
 # viscous profile, like that of an LF one, grows in proportion to y_max.
 _MAX_LAYER_Y = 10 ** 5
 # The largest count a config may ask for: cells, snapshots, audit samples,
-# admissible grid points or recursion steps.
+# admissible grid points or recursion steps, and the longest config list.
 MAX_COUNT = 10 ** 6
+# The most values of a study sweep, each a whole scheme run.
+_MAX_SWEEP = 64
 
 
 class SchemaError(ValueError):
@@ -50,12 +54,14 @@ def load_config(path: str) -> dict:
     """The config at ``path``, each field read once: checked for its kind and
     range, defaulted and typed; with the built ``model`` and the raw ``expect``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError(f"config not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
+        raise SchemaError(f"config cannot be read: {exc}") from exc
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
     task = _get(cfg, "task", one_of(*TASKS))
@@ -115,14 +121,16 @@ def count(lo, hi=MAX_COUNT):
     return read
 
 
-def listof(kind):
+def listof(kind, most=MAX_COUNT):
+    what = f"a list of 1 to {most} items"
+
     def read(x):
-        if not (isinstance(x, list) and x):
-            raise ValueError("a non-empty list")
+        if not (isinstance(x, list) and 1 <= len(x) <= most):
+            raise ValueError(what)
         try:
             return [kind(v) for v in x]
         except ValueError as exc:
-            raise ValueError(f"a non-empty list, each item {exc}") from None
+            raise ValueError(f"{what}, each item {exc}") from None
     return read
 
 
@@ -216,7 +224,8 @@ def _scheme_fields(cfg, dimension):
 def _study_fields(cfg, dimension):
     sweep = _get(cfg, "sweep", json_object)
     param = _get(sweep, "parameter", one_of("eps", "cells"))
-    values = _get(sweep, "values", listof(positive if param == "eps" else count(1)))
+    kind = positive if param == "eps" else count(1)
+    values = _get(sweep, "values", listof(kind, _MAX_SWEEP))
     if sorted(values) not in (values, values[::-1]):
         raise SchemaError("sweep: values must be monotone")
     return {**_scheme_fields(cfg, dimension), "parameter": param, "values": values,
@@ -305,12 +314,24 @@ def _cells(col):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """``text`` as UTF-8 at ``path``, through a temp file and os.replace,
+    unless ``path`` is a regular file that already holds exactly these
+    bytes: that one is left as it is, since replacing a file that holds
+    data costs the filesystem far more than reading it."""
+    data = text.encode()
+    try:  # O_NONBLOCK: opening a FIFO does not wait for a writer
+        with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode) and st.st_size == len(data) and fh.read() == data:
+                return
+    except OSError:
+        pass
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -595,7 +616,10 @@ def main(argv=None) -> int:
         cfg = load_config(path)
         if args.seed is not None:
             cfg["seed"] = _get(vars(args), "seed", count(0, math.inf))
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # a file of that name, say
+            raise SchemaError(f"--out cannot be made a directory: {exc}") from exc
         if args.command == "verify":
             run_verify(cfg, args.out)
         else:

@@ -84,6 +84,84 @@ def test_seed_recorded_and_changes_audit(tmp_path):
     assert payloads[0]["riemann_set"] == payloads[1]["riemann_set"]
 
 
+def _inodes(d):
+    """{name: (inode, mtime in ns)} of the files in ``d``."""
+    return {name: (st.st_ino, st.st_mtime_ns) for name in os.listdir(d)
+            for st in [os.stat(os.path.join(d, name))]}
+
+
+def _admissible_run(out, seed):
+    assert cli.main(["admissible", "--config", "thm41_burgers.json",
+                     "--out", str(out), "--seed", seed]) == 0
+    return read_artifacts(out), _inodes(out)
+
+
+def test_rerun_leaves_identical_artifacts_in_place(tmp_path):
+    first = _admissible_run(tmp_path, "7")
+    assert _admissible_run(tmp_path, "7") == first  # same bytes, inode and mtime
+
+
+def test_rerun_with_another_seed_replaces_what_changed(tmp_path):
+    before, stats = _admissible_run(tmp_path / "out", "1")
+    after, new_stats = _admissible_run(tmp_path / "out", "2")
+    assert sorted(after) == ["admissible.json", "membership.csv"]  # no *.tmp left
+    assert after == _admissible_run(tmp_path / "fresh", "2")[0]
+    assert after["admissible.json"] != before["admissible.json"]
+    assert new_stats["admissible.json"][0] != stats["admissible.json"][0]
+    # the grid verdicts do not depend on the seed: that file stays
+    assert new_stats["membership.csv"] == stats["membership.csv"]
+
+
+def test_hand_edited_artifact_of_the_same_length_is_restored(tmp_path):
+    before, _ = _admissible_run(tmp_path, "7")
+    edited = before["admissible.json"].replace(b'"u_B"', b'"u_X"')
+    assert len(edited) == len(before["admissible.json"]) and edited != before["admissible.json"]
+    (tmp_path / "admissible.json").write_bytes(edited)
+    assert _admissible_run(tmp_path, "7")[0] == before
+
+
+def _command_line(argv):
+    """``python -m quarterplane.cli *argv`` with this package on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(
+        cli.__file__)), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "quarterplane.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8", "out-is-a-file"])
+def test_unreadable_config_or_out_exit_2(case, tmp_path):
+    config, out = tmp_path / "cfg.json", tmp_path / "out"
+    config.write_text(json.dumps(_bundled("euler_regions")))
+    if case == "config-is-a-directory":
+        config = tmp_path / "cfg_dir"
+        config.mkdir()
+    elif case == "config-not-utf8":
+        config.write_bytes(b"\xff\xfe")
+    else:
+        out.write_bytes(b"not a directory\n")
+    proc = _command_line(["riemann", "--config", str(config), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error (schema): ") and "Traceback" not in proc.stderr
+    if case == "out-is-a-file":
+        assert out.read_bytes() == b"not a directory\n"
+    else:
+        assert os.listdir(out) == ["error.json"]
+
+
+def test_config_lists_are_bounded(tmp_path, capsys):
+    cfg = _bundled("viscous_trace_study")
+    cfg["sweep"]["values"] = [0.1 / k for k in range(1, 66)]
+    _only_schema_error(cfg, tmp_path, capsys)
+    with open(tmp_path / "out" / "error.json") as fh:
+        assert json.load(fh)["message"].startswith("values must be a list of 1 to 64 items")
+    cfg["sweep"]["values"].pop()
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert len(cli.load_config(str(tmp_path / "cfg.json"))["values"]) == 64
+    with pytest.raises(ValueError, match="a list of 1 to 1000000 items"):
+        cli.listof(cli.finite)([0.0] * (cli.MAX_COUNT + 1))
+
+
 def test_schema_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
 
