@@ -1,4 +1,4 @@
-"""Times of one scheme step, one layer profile and one artifact write, printed as JSON.
+"""Times of one scheme step, layer profile, p-system Riemann solve and artifact write (JSON).
 
     python3 bench/steps.py [--repeats 9] [--src DIR [DIR ...]]
 
@@ -9,27 +9,30 @@ small share).  The cubic datum spans both critical points of f, the
 candidates of the Godunov flux.  Each ``entropy_residual`` case is one
 ``discrete_entropy_residual`` call on the stored history of the LF or
 Godunov Burgers run, made once per tree before timing; its time is per
-stored level.  Its block temporaries (about 256 KiB each) lie above
-glibc's initial 128 KiB mmap and heap-trim thresholds, which glibc moves as
-the process frees memory, so whether each block faults in fresh pages
-depends on what ran before in the process.  With both fixed, say
+stored level.  Its block temporaries (about 256 KiB each) lie above glibc's
+initial 128 KiB mmap and heap-trim thresholds, which glibc moves as the
+process frees memory, so whether each block faults in fresh pages depends on
+what ran before in the process.  With both fixed, say
 ``MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=1073741824``, the
 temporaries are reused from the heap and the residual cases time the
-arithmetic.  Each ``profile`` case computes one layer profile
-``PROFILES`` times and reports the time per profile: ``viscous_layer_profile``
-of a Burgers and of a cubic member, and ``discrete_layer_membership`` (LF,
-lam 0.1, q 0.5) of a Burgers member and of a non-member, whose last step
-fails Newton.  Each ``write`` case calls ``cli._atomic_write`` ``WRITES``
-times with a text of about 2 KiB: to a new name each time (a first run
-into a fresh ``--out``), onto a file that already holds the same bytes (a
-rerun), and onto a file of the same length whose bytes differ (so the
-bytes are compared, then replaced).  Its files go in a new directory under
-the system's temporary directory (``TMPDIR``), removed at the end; a
-replace costs what the filesystem makes it cost, so put that directory on
-the device where the artifacts go.  One untimed run per case and tree comes
-first, so imports are not timed.  A case reports its unit (``step``,
-``level``, ``profile`` or ``write``) and count, the median over
-``--repeats`` runs (at least 5) and every run.
+arithmetic.  Each ``profile`` case computes one layer profile ``PROFILES``
+times and reports the time per profile: ``viscous_layer_profile`` of a
+Burgers and of a cubic member, and ``discrete_layer_membership`` (LF, lam
+0.1, q 0.5) of a Burgers member and of a non-member, whose last step fails
+Newton.  Each ``riemann_psystem`` case solves ``SOLVES`` p-system Riemann
+problems (``psystem_riemann_trace``), elastodynamics or Lagrangian gas, on
+data drawn once from a seeded generator (strains in [0.5, 1.5], velocities
+in [-1, 1]), and reports the time per solve.  Each ``write`` case calls
+``cli._atomic_write`` ``WRITES`` times with a text of about 2 KiB: to a new
+name each time (a first run into a fresh ``--out``), onto a file that
+already holds the same bytes (a rerun), and onto a file of the same length
+whose bytes differ (so the bytes are compared, then replaced).  Its files go
+in a new directory under the system's temporary directory (``TMPDIR``),
+removed at the end; a replace costs what the filesystem makes it cost, so
+put that directory on the device where the artifacts go.  One untimed run
+per case and tree comes first, so imports are not timed.  A case reports its
+unit (``step``, ``level``, ``profile``, ``solve`` or ``write``) and count,
+the median over ``--repeats`` runs (at least 5) and every run.
 
 ``--src`` names the source trees to import ``quarterplane`` from (default:
 ``src`` beside this script).  Given two trees, say a parent's and a
@@ -52,6 +55,7 @@ import itertools
 import json
 import os
 import platform
+import random
 import shutil
 import statistics
 import sys
@@ -62,19 +66,20 @@ from pathlib import Path
 
 CELLS = 640
 PROFILES = 20
+SOLVES = 100
 WRITES = 50
 
 
 def load(src):
-    """The ``schemes``, ``systems``, ``layers`` and ``cli`` modules of the package
-    under ``src``, imported afresh: a tree loaded before keeps its own
-    module objects."""
+    """The ``schemes``, ``systems``, ``layers``, ``riemann`` and ``cli``
+    modules of the package under ``src``, imported afresh: a tree loaded
+    before keeps its own module objects."""
     for name in [m for m in sys.modules if m.split(".")[0] == "quarterplane"]:
         del sys.modules[name]
     sys.path.insert(0, src)
     try:
         return tuple(importlib.import_module("quarterplane." + name)
-                     for name in ("schemes", "systems", "layers", "cli"))
+                     for name in ("schemes", "systems", "layers", "riemann", "cli"))
     finally:
         sys.path.remove(src)
 
@@ -88,10 +93,10 @@ def steps(sol):
 TEXTS = ["".join(f"{tag},{i / 7!r}\n" for i in range(112)) for tag in "ab"]
 
 
-def cases(schemes, systems, layers, cli, tmp):
+def cases(schemes, systems, layers, riemann, cli, tmp):
     """{name: (unit, run)}, ``run`` a no-argument call returning how many
-    units (steps, stored levels, profiles or writes) it took.  The write
-    cases use files in the directory ``tmp``."""
+    units (steps, stored levels, profiles, solves or writes) it took.  The
+    write cases use files in the directory ``tmp``."""
     burgers = systems.make_model("burgers")
     cubic = systems.make_model("cubic")
     elasto = systems.make_model("elastodynamics")
@@ -115,6 +120,17 @@ def cases(schemes, systems, layers, cli, tmp):
                 layer(*args)
             return PROFILES
         return "profile", run
+
+    def solves(model):
+        rng = random.Random(7)
+        data = [tuple([rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0)] for _ in "lr")
+                for _ in range(SOLVES)]
+
+        def run():
+            for left, right in data:
+                riemann.psystem_riemann_trace(model, left, right)
+            return SOLVES
+        return "solve", run
 
     def write(name_of):
         def run():
@@ -146,6 +162,8 @@ def cases(schemes, systems, layers, cli, tmp):
                                      1.0, -2.0),
         "profile_lf_nonmember": profile(layers.discrete_layer_membership, burgers, lf_layer,
                                         1.03, -0.5),
+        "riemann_psystem_elastic": solves(elasto),
+        "riemann_psystem_gas": solves(systems.make_model("lagrangian_gas")),
         "write_new_name": write(lambda i: (os.path.join(tmp, f"new{next(fresh)}.csv"),
                                            TEXTS[0])),
         "write_same_bytes": write(lambda i: (same, TEXTS[0])),

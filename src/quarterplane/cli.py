@@ -631,6 +631,9 @@ def main(argv=None) -> int:
     except (SchemaError, UnsupportedModelError) as exc:
         _error_report(args.out, "schema", exc)
         return 2
+    except OSError as exc:  # an artifact that cannot be written: a directory in its place, say
+        _error_report(args.out, "schema", SchemaError(f"an artifact cannot be written: {exc}"))
+        return 2
     # ValueError includes CFLError and LinAlgError; RuntimeError includes
     # SolverFailure and VerificationError; RuntimeWarning is raised under -W error
     except (ValueError, RuntimeError, ArithmeticError, RuntimeWarning) as exc:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quarterplane.riemann import godunov_trace_scalar
+from quarterplane.riemann import _brent, godunov_trace_scalar
 from quarterplane.systems import SystemModel, UnsupportedModelError, eigen_structure, quad_integral, stress_law
 
 __all__ = [
@@ -132,7 +132,6 @@ _RK_P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
          (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
          (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
 _RK_RTOL, _RK_ATOL = 1e-10, 1e-12
-_EPS = float(np.finfo(float).eps)
 
 
 def _error_norm(err, y, y_new):
@@ -142,44 +141,6 @@ def _error_norm(err, y, y_new):
         return abs(err) / (_RK_ATOL + max(abs(y), abs(y_new)) * _RK_RTOL)
     scaled = err / (_RK_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RK_RTOL)
     return float(np.linalg.norm(scaled)) / scaled.size ** 0.5
-
-
-def _brent(g, a, b, ga, gb):
-    """A root of g in [a, b], where ga = g(a) and gb = g(b) differ in sign
-    or vanish: Brent's method with scipy brentq's steps and its stop at
-    xtol = rtol = 4 eps."""
-    if ga == 0:
-        return a
-    if gb == 0:
-        return b
-    xpre, fpre, xcur, fcur = a, ga, b, gb
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre and fcur and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 2 * _EPS * (1.0 + abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0 or abs(sbis) < delta:
-            break
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            spre, scur = (scur, stry) if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta) \
-                else (sbis, sbis)
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = g(xcur)
-    return xcur
 
 
 def _dopri45(rhs, y0, y_max, event):

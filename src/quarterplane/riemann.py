@@ -4,14 +4,16 @@ Scalar fans are the convex/concave envelope of the flux on the data interval,
 in closed form for a convex flux or a cubic with one inflection point; their
 trace is the extremizer of f on that interval (Osher, SIAM J. Numer. Anal.
 21, 1984).  A p-system (elasticity; Lagrangian gas, sigma = -p) is solved by
-intersecting its two Lax-admissible wave curves with a damped Newton
-iteration that keeps the strain inside the model's state region.  The trace
-returned by every solver is the right limit of the self-similar solution at
-x/t = 0+: a stationary shock therefore contributes its *right* state.
+intersecting its two Lax-admissible wave curves: their gap increases with the
+strain, so Brent's method (``_brent``) finds its root in a bracket widened
+inside the model's state region.  The trace returned by every solver is the
+right limit of the self-similar solution at x/t = 0+: a stationary shock
+therefore contributes its *right* state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,7 @@ __all__ = [
 
 
 class SolverFailure(RuntimeError):
-    """Raised when an iterative Riemann solver fails to converge."""
+    """Raised when a 1-d root search finds no bracket or does not converge."""
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,49 @@ def cubic_companions(model: SystemModel, u_B: float):
     return model.level_roots(float(u_B))
 
 
+# --- Brent's method -----------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _brent(g, a, b, ga, gb):
+    """A root of g in [a, b], where ga = g(a) and gb = g(b) differ in sign
+    or vanish: Brent's method (1973) with scipy brentq's steps, its stop at
+    xtol = rtol = 4 eps and its limit of 100 steps (then SolverFailure)."""
+    if ga == 0:
+        return a
+    if gb == 0:
+        return b
+    xpre, fpre, xcur, fcur = a, ga, b, gb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre and fcur and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 2 * _EPS * (1.0 + abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            spre, scur = (scur, stry) if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta) \
+                else (sbis, sbis)
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = g(xcur)
+    raise SolverFailure(f"Brent's method did not converge in 100 steps on [{a!r}, {b!r}]")
+
+
 # --- p-system solver ---------------------------------------------------------
 
 
@@ -199,8 +244,8 @@ def _sqrt_sigma_p_integral(model, v0, v1):
 
 
 def _wave_curve(model, v_end):
-    """The wave curve through the state with strain v_end as three functions of
-    v: whether v is on its rarefaction side, u - u_end and its slope.  Lax: the
+    """The wave curve through the state with strain v_end as two functions of
+    v: whether v is on its rarefaction side, and u - u_end.  Lax: the
     rarefaction side is where sigma' is below sigma'(v_end), v <= v_end where
     sigma' rises (the elastic law at v >= 0), v >= v_end where it falls (the
     gas); the shock chord holds on the other."""
@@ -216,15 +261,7 @@ def _wave_curve(model, v_end):
             return _sqrt_sigma_p_integral(model, v_end, v)
         return np.copysign(np.sqrt((float(sig(v)) - sig_end) * (v - v_end)), v - v_end)
 
-    def slope(v):
-        dv = v - v_end
-        dsig = float(sig(v)) - sig_end
-        prod = dsig * dv
-        if prod <= 0.0 or rarefaction(v):
-            return np.sqrt(float(sp(v)))
-        return abs(float(sp(v)) * dv + dsig) / (2.0 * np.sqrt(prod))
-
-    return rarefaction, offset, slope
+    return rarefaction, offset
 
 
 def _phi1(model, v, left):
@@ -237,8 +274,26 @@ def _phi2(model, v, right):
     return right[1] - _wave_curve(model, right[0])[1](v)
 
 
-def psystem_riemann_trace(model: SystemModel, left, right,
-                          max_iter: int = 100, tol: float = 1e-12) -> RiemannFan:
+def _bracket(g, a, b, bound):
+    """[a, b] widened until the increasing g changes sign on it, with g at
+    both ends: the end where g has the wrong sign moves out by a step that
+    doubles each time, the lower one at most halfway to ``bound``."""
+    ga, gb, step = g(a), g(b), 1.0 + (b - a)
+    while math.isfinite(ga) and math.isfinite(gb):
+        if ga > 0:
+            a, b, gb = max(a - step, 0.5 * (a + bound)), a, ga
+            ga = g(a) if a > bound else math.nan
+        elif gb < 0:
+            a, ga, b = b, gb, b + step
+            gb = g(b)
+        else:
+            return a, b, ga, gb
+        step *= 2.0
+    raise SolverFailure("the p-system wave curves do not cross at a finite gap inside "
+                        f"the state region (last bracket [{a!r}, {b!r}])")
+
+
+def psystem_riemann_trace(model: SystemModel, left, right) -> RiemannFan:
     """Two-wave Riemann solution of a p-system (``stress_law``), traced at
     x/t = 0+.  Data outside the model's state region raise ValueError."""
     law = stress_law(model, "psystem_riemann_trace")
@@ -246,41 +301,14 @@ def psystem_riemann_trace(model: SystemModel, left, right,
     if not model.in_region(np.stack([left, right])):
         raise ValueError("Riemann data outside the model's state region")
 
-    if np.allclose(left, right, rtol=0.0, atol=1e-15):
-        return RiemannFan(left, right, (), right.copy(), np.asarray(model.flux(right)))
-
-    lo_v = max(model.state_region[0][0], min(left[0], right[0]) - 10.0)
-    scale = 1.0 + abs(left[1]) + abs(right[1])
-
-    rare_l, off_l, slope_l = _wave_curve(model, left[0])
-    rare_r, off_r, slope_r = _wave_curve(model, right[0])
+    rare_l, off_l = _wave_curve(model, left[0])
+    rare_r, off_r = _wave_curve(model, right[0])
 
     def g(v):  # the 1-wave curve through left minus the 2-wave curve into right
         return (left[1] + off_l(v)) - (right[1] - off_r(v))
 
-    def dg(v):
-        return slope_l(v) + slope_r(v)
-
-    v = 0.5 * (left[0] + right[0])
-    gv = g(v)
-    for _ in range(max_iter):
-        if abs(gv) <= tol * scale:
-            break
-        step = -gv / dg(v)
-        # damping: halve until the residual decreases and we stay in range
-        for _ in range(30):
-            v_new = v + step
-            if v_new > lo_v:
-                g_new = g(v_new)
-                if abs(g_new) < abs(gv):
-                    break
-            step *= 0.5
-        else:
-            raise SolverFailure("damped Newton stalled in the p-system solver")
-        v, gv = v_new, g_new
-    if abs(gv) > tol * scale:
-        raise SolverFailure("p-system wave-curve intersection did not converge")
-
+    lo, hi = sorted((float(left[0]), float(right[0])))
+    v = _brent(g, *_bracket(g, lo, hi, model.state_region[0][0]))
     middle = np.array([v, left[1] + off_l(v)])
 
     waves = []  # the 1-wave left -> middle, then the 2-wave middle -> right

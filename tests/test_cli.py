@@ -149,6 +149,22 @@ def test_unreadable_config_or_out_exit_2(case, tmp_path):
         assert os.listdir(out) == ["error.json"]
 
 
+def test_artifact_that_cannot_be_written_exits_2(tmp_path):
+    # a directory where riemann.json goes: os.replace cannot put the file there
+    config, out = tmp_path / "cfg.json", tmp_path / "out"
+    config.write_text(json.dumps({"task": "riemann", "model": {"name": "cubic"},
+                                  "params": {"left": 1.5, "right": -0.5}}))
+    (out / "riemann.json" / "inner").mkdir(parents=True)
+    proc = _command_line(["riemann", "--config", str(config), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error (schema): ") and "Traceback" not in proc.stderr
+    with open(out / "error.json") as fh:
+        report = json.load(fh)
+    assert report["error"] == "schema" and str(out / "riemann.json") in report["message"]
+    assert sorted(os.listdir(out)) == ["error.json", "riemann.json"]
+    assert os.listdir(out / "riemann.json") == ["inner"]
+
+
 def test_config_lists_are_bounded(tmp_path, capsys):
     cfg = _bundled("viscous_trace_study")
     cfg["sweep"]["values"] = [0.1 / k for k in range(1, 66)]

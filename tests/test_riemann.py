@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,3 +306,105 @@ def test_psystem_refuses_data_outside_the_region_and_models_without_stress():
         psystem_riemann_trace(LAGR, (0.0, 0.0), (1.0, 0.0))
     with pytest.raises(UnsupportedModelError, match="stress law"):
         psystem_riemann_trace(make_model("euler_isentropic"), (1.0, 0.0), (1.0, 0.1))
+
+
+# One root kernel: Brent's method on a bracket ----------------------------------
+
+
+_BRENT_CASES = [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 2.0, -1.0, 3.0),
+    (lambda x: math.tanh(x - 0.3), -4.0, 0.5),
+    (lambda x: math.sin(x), 2.0, 4.0),
+    (lambda x: math.log(x) + x * x - 3.0, 0.1, 10.0),
+]
+
+
+@pytest.mark.parametrize("f, a, b", _BRENT_CASES, ids=["cos", "cubic", "exp", "tanh", "sin", "log"])
+def test_brent_takes_brentq_steps(f, a, b):
+    # bit for bit on the case's bracket and on 40 random brackets of its root
+    from scipy.optimize import brentq
+
+    from quarterplane.riemann import _brent
+
+    eps = np.finfo(float).eps
+    root = brentq(f, a, b, xtol=4 * eps, rtol=4 * eps)
+    rng = np.random.default_rng(41)
+    brackets = [(a, b)] + [(root - rng.uniform(1e-3, 1.0) * (root - a),
+                            root + rng.uniform(1e-3, 1.0) * (b - root)) for _ in range(40)]
+    for lo, hi in brackets:
+        lo, hi = float(lo), float(hi)
+        expected = brentq(f, lo, hi, xtol=4 * eps, rtol=4 * eps)
+        assert _brent(f, lo, hi, f(lo), f(hi)) == expected
+
+
+def test_brent_raises_when_its_steps_run_out():
+    # scipy's brentq: "Failed to converge after 100 iterations" on this bracket
+    from quarterplane.riemann import _brent
+
+    a, b = -2.34, 3.59
+    with pytest.raises(SolverFailure, match="did not converge"):
+        _brent(lambda x: x ** 3, a, b, a ** 3, b ** 3)
+
+
+def _gap(model, fan):
+    """|g(v*)|: the 1-wave curve through the left datum minus the 2-wave
+    curve into the right one, at the trace's strain."""
+    from quarterplane.riemann import _phi1, _phi2
+
+    v = fan.trace_at_zero_plus[0]
+    return abs(_phi1(model, v, fan.left) - _phi2(model, v, fan.right))
+
+
+def test_psystem_mirror_datum_far_below_the_data_strains():
+    # sigma is odd, so v -> -v with left and right swapped mirrors the fan of
+    # (2, 0) -> (2, 300); its middle strain lies 14.6 below the data's
+    fan = psystem_riemann_trace(ELASTO, (-2.0, 300.0), (-2.0, 0.0))
+    mirror = psystem_riemann_trace(ELASTO, (2.0, 0.0), (2.0, 300.0))
+    v, u = fan.trace_at_zero_plus
+    assert v < -16.0
+    assert v == pytest.approx(-mirror.trace_at_zero_plus[0], rel=1e-14)
+    assert u == pytest.approx(mirror.trace_at_zero_plus[1], rel=1e-14)
+    assert [w.kind for w in fan.waves] == ["shock", "shock"]
+    _lax_admissible(ELASTO, fan)
+    assert _gap(ELASTO, fan) <= 1e-13 * 301.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model, v_range, u_range", [
+    (ELASTO, (0.3, 3.0), (-1.0, 1.0)),
+    (ELASTO, (-3.0, -0.3), (-1.0, 1.0)),
+    (LAGR, (0.3, 3.0), (-5.0, 5.0)),
+], ids=["elastic_positive", "elastic_negative", "gas"])
+def test_psystem_wave_curves_meet_at_machine_precision(model, v_range, u_range):
+    rng = np.random.default_rng(43)
+    for _ in range(1000):
+        left, right = (np.array([rng.uniform(*v_range), rng.uniform(*u_range)]) for _ in "lr")
+        fan = psystem_riemann_trace(model, left, right)
+        assert _gap(model, fan) <= 1e-13 * (1.0 + abs(left[1]) + abs(right[1]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_psystem_quadrature_law_matches_the_closed_form():
+    # the default stress law passed in by hand: every integral by quadrature
+    quad = make_model("elastodynamics", sigma=ELASTO.params["sigma"],
+                      sigma_prime=ELASTO.params["sigma_prime"])
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        left = np.array([rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0)])
+        right = np.array([rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0)])
+        closed = psystem_riemann_trace(ELASTO, left, right).trace_at_zero_plus
+        np.testing.assert_allclose(psystem_riemann_trace(quad, left, right).trace_at_zero_plus,
+                                   closed, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("model, state", [
+    (ELASTO, (1.0, 0.0)), (ELASTO, (-1.7, 0.4)), (ELASTO, (0.0, -3.0)),
+    (LAGR, (0.25, 2.0)), (LAGR, (3.0, -1.0)),
+])
+def test_psystem_equal_data_make_no_waves(model, state):
+    fan = psystem_riemann_trace(model, state, state)
+    assert fan.waves == ()
+    assert np.array_equal(fan.trace_at_zero_plus, state)
+    np.testing.assert_array_equal(fan.flux_at_zero, model.flux(np.asarray(state)))
