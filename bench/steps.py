@@ -1,4 +1,4 @@
-"""Times of one scheme step, layer profile, p-system Riemann solve and artifact write (JSON).
+"""Times of one scheme step, layer profile, LF layer step, Riemann solve and artifact write (JSON).
 
     python3 bench/steps.py [--repeats 9] [--src DIR [DIR ...]]
 
@@ -19,10 +19,13 @@ arithmetic.  Each ``profile`` case computes one layer profile ``PROFILES``
 times and reports the time per profile: ``viscous_layer_profile`` of a
 Burgers and of a cubic member, and ``discrete_layer_membership`` (LF, lam
 0.1, q 0.5) of a Burgers member and of a non-member, whose last step fails
-Newton.  Each ``riemann_psystem`` case solves ``SOLVES`` p-system Riemann
-problems (``psystem_riemann_trace``), elastodynamics or Lagrangian gas, on
-data drawn once from a seeded generator (strains in [0.5, 1.5], velocities
-in [-1, 1]), and reports the time per solve.  Each ``write`` case calls
+Newton.  Each ``lf_step`` case is one ``layers._lf_step`` call (mu 0.1), the
+implicit LF layer step, on ``STATES`` elastodynamics or ``euler_isentropic``
+states within 0.05 of a limit, all drawn once from a seeded generator, and
+reports the time per state.  Each ``riemann_psystem`` case solves ``SOLVES``
+p-system Riemann problems (``psystem_riemann_trace``), elastodynamics or
+Lagrangian gas, on data drawn once from a seeded generator (strains in
+[0.5, 1.5], velocities in [-1, 1]), and reports the time per solve.  Each ``write`` case calls
 ``cli._atomic_write`` ``WRITES`` times with a text of about 2 KiB: to a new
 name each time (a first run into a fresh ``--out``), onto a file that
 already holds the same bytes (a rerun), and onto a file of the same length
@@ -31,8 +34,8 @@ in a new directory under the system's temporary directory (``TMPDIR``),
 removed at the end; a replace costs what the filesystem makes it cost, so
 put that directory on the device where the artifacts go.  One untimed run
 per case and tree comes first, so imports are not timed.  A case reports its
-unit (``step``, ``level``, ``profile``, ``solve`` or ``write``) and count,
-the median over ``--repeats`` runs (at least 5) and every run.
+unit (``step``, ``level``, ``profile``, ``state``, ``solve`` or ``write``) and
+count, the median over ``--repeats`` runs (at least 5) and every run.
 
 ``--src`` names the source trees to import ``quarterplane`` from (default:
 ``src`` beside this script).  Given two trees, say a parent's and a
@@ -64,8 +67,11 @@ import time
 from importlib import metadata
 from pathlib import Path
 
+import numpy as np
+
 CELLS = 640
 PROFILES = 20
+STATES = 200
 SOLVES = 100
 WRITES = 50
 
@@ -95,8 +101,8 @@ TEXTS = ["".join(f"{tag},{i / 7!r}\n" for i in range(112)) for tag in "ab"]
 
 def cases(schemes, systems, layers, riemann, cli, tmp):
     """{name: (unit, run)}, ``run`` a no-argument call returning how many
-    units (steps, stored levels, profiles, solves or writes) it took.  The
-    write cases use files in the directory ``tmp``."""
+    units (steps, stored levels, profiles, states, solves or writes) it took.
+    The write cases use files in the directory ``tmp``."""
     burgers = systems.make_model("burgers")
     cubic = systems.make_model("cubic")
     elasto = systems.make_model("elastodynamics")
@@ -120,6 +126,17 @@ def cases(schemes, systems, layers, riemann, cli, tmp):
                 layer(*args)
             return PROFILES
         return "profile", run
+
+    def lf_step(model):
+        rng = np.random.default_rng(11)
+        limit = np.array([rng.uniform(0.8, 1.2), rng.uniform(-0.5, 0.5)])
+        v = limit + rng.uniform(-0.05, 0.05, (STATES, 2))
+        f_inf = model.flux(np.tile(limit, (STATES, 1)))
+
+        def run():
+            layers._lf_step(model, 0.1, v, f_inf)
+            return STATES
+        return "state", run
 
     def solves(model):
         rng = random.Random(7)
@@ -162,6 +179,8 @@ def cases(schemes, systems, layers, riemann, cli, tmp):
                                      1.0, -2.0),
         "profile_lf_nonmember": profile(layers.discrete_layer_membership, burgers, lf_layer,
                                         1.03, -0.5),
+        "lf_step_elastodynamics": lf_step(elasto),
+        "lf_step_euler_isentropic": lf_step(systems.make_model("euler_isentropic")),
         "riemann_psystem_elastic": solves(elasto),
         "riemann_psystem_gas": solves(systems.make_model("lagrangian_gas")),
         "write_new_name": write(lambda i: (os.path.join(tmp, f"new{next(fresh)}.csv"),

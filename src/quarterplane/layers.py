@@ -294,6 +294,7 @@ def viscous_member_scalar(model: SystemModel, u_B: float, v_inf):
 # --- Discrete (scheme) layers ------------------------------------------------
 
 _VERDICTS = ("converged", "diverged", "stalled", "horizon-reached")
+_NEWTON_MAX_ITER, _NEWTON_TOL = 100, 1e-12  # the Newton of _lf_step
 
 
 def _norms(x):
@@ -308,13 +309,13 @@ def _newton_step(model: SystemModel, mu: float, w, r):
     if model.dimension == 1:
         den = mu * model.dflux(w) - 1.0
         return r / np.where(den == 0.0, np.nan, den)
-    (a, b), (c, d) = np.moveaxis(np.eye(2) - mu * np.array([model.jacobian(x) for x in w]), 0, -1)
+    (a, b), (c, d) = np.moveaxis(np.eye(2) - mu * model.jacobian(w), 0, -1)
     det = a * d - b * c
     return (np.stack([b * r[:, 1] - d * r[:, 0], c * r[:, 0] - a * r[:, 1]], axis=1)
             / np.where(det == 0.0, np.nan, det)[:, None])
 
 
-def _lf_step(model: SystemModel, mu: float, v, f_inf, max_iter: int = 100, tol: float = 1e-12):
+def _lf_step(model: SystemModel, mu: float, v, f_inf):
     """The implicit LF layer step for each row of v, shape (M, N): solves
     w - mu f(w) = v + mu f(v) - 2 mu f_inf by Newton from w = v (so the root
     in the basin of v is selected), halving each state's step until its
@@ -322,14 +323,14 @@ def _lf_step(model: SystemModel, mu: float, v, f_inf, max_iter: int = 100, tol: 
     share one flux call on a (30, B, N) ladder of repeated halvings and take
     their first rung that does.  Returns w and the mask of the states whose
     Newton failed: no rung decreased the residual (w is then the last rung),
-    or max_iter steps left it above tol (1 + |w|)."""
+    or _NEWTON_MAX_ITER steps left it above _NEWTON_TOL (1 + |w|)."""
     fv = model.flux(v)
     c = v + mu * (fv - 2.0 * f_inf)
     w, r = v.copy(), v - mu * fv - c
     nr = _norms(r)
     failed = np.zeros(len(v), dtype=bool)
-    for _ in range(max_iter):
-        todo = ~(failed | (nr <= tol * (1.0 + _norms(w))))  # a NaN residual is not converged
+    for _ in range(_NEWTON_MAX_ITER):
+        todo = ~(failed | (nr <= _NEWTON_TOL * (1.0 + _norms(w))))  # a NaN residual is not converged
         n_todo = np.count_nonzero(todo)
         if not n_todo:
             return w, failed
@@ -350,7 +351,7 @@ def _lf_step(model: SystemModel, mu: float, v, f_inf, max_iter: int = 100, tol: 
             pick = down.argmax(axis=0), np.arange(bad.size)
             w_new[bad], r_new[bad], nr_new[bad] = w_l[pick], r_l[pick], nr_l[pick]
         w, r, nr = w_new, r_new, nr_new
-    return w, failed | ~(nr <= tol * (1.0 + _norms(w)))
+    return w, failed | ~(nr <= _NEWTON_TOL * (1.0 + _norms(w)))
 
 
 def _lf_orbit(model: SystemModel, mu: float, u_B, v_inf, y_max: int, member_tol=None):
@@ -403,14 +404,13 @@ def _lf_orbit(model: SystemModel, mu: float, u_B, v_inf, y_max: int, member_tol=
     return verdict, dist, orbit
 
 
-def discrete_lf_layer_step(model: SystemModel, lam: float, q: float, v_y, v_inf,
-                           max_iter: int = 100, tol: float = 1e-12):
+def discrete_lf_layer_step(model: SystemModel, lam: float, q: float, v_y, v_inf):
     """One implicit step of the discrete layer recursion, mu = lam/(2 q):
     ``_lf_step`` from v_y, so the root in the basin of v_y is selected and
     the profile is continuous in its starting value.  A float for a scalar
     model; RuntimeError when Newton fails."""
     w, failed = _lf_step(model, lam / (2.0 * q), np.array(v_y, dtype=float, ndmin=2),
-                         model.flux(np.array(v_inf, dtype=float, ndmin=2)), max_iter, tol)
+                         model.flux(np.array(v_inf, dtype=float, ndmin=2)))
     if failed[0]:
         raise RuntimeError("Newton failed in the discrete layer step")
     return float(w[0, 0]) if model.dimension == 1 else w[0]
@@ -477,12 +477,9 @@ def manifold_report(model: SystemModel, regularization, u_B, v_inf) -> ManifoldR
     vi = np.atleast_1d(np.asarray(v_inf, dtype=float))
     state = vi if n > 1 else float(vi[0])
     es = eigen_structure(model, state)
-    tol = es.tol_char
 
-    if regularization == "viscous" or (isinstance(regularization, tuple) and regularization[0] == "viscous"):
-        b = np.atleast_2d(np.asarray(model.viscosity(state), dtype=float))
-        m = np.linalg.solve(b, np.atleast_2d(np.asarray(model.jacobian(state), dtype=float)))
-        ev, rv = np.linalg.eig(m)
+    if regularization == "viscous":
+        ev, rv = np.linalg.eig(np.linalg.solve(model.viscosity(state), model.jacobian(state)))
         if np.max(np.abs(ev.imag)) > 1e-9 * (1.0 + np.max(np.abs(ev.real))):
             raise ValueError("complex layer spectrum at the base state")
         order = np.argsort(ev.real)
@@ -499,7 +496,7 @@ def manifold_report(model: SystemModel, regularization, u_B, v_inf) -> ManifoldR
             raise ValueError("regularization must be 'viscous' or ('lf', lam, q)")
         mu = lam / (2.0 * q)
         amp = (1.0 + mu * es.eigenvalues) / (1.0 - mu * es.eigenvalues)
-        stable = np.abs(amp) < 1.0 - tol
+        stable = np.abs(amp) < 1.0 - es.tol_char
         tangent = es.right[:, stable]
         reg_name = "lf"
 

@@ -41,7 +41,6 @@ __all__ = [
     "CFLError",
     "run_lf",
     "run_split",
-    "lf_splitting",
     "run_godunov",
     "run_viscous",
     "numerical_flux",
@@ -226,21 +225,6 @@ def _lf_flux(Fv, Fw, Uv, Uw, coeff, g=None, d=None):
     return np.subtract(g, np.multiply(np.subtract(Uw, Uv, out=d), coeff, out=d), out=g)
 
 
-def lf_splitting(model, coeff):
-    """The splitting f = f^- + f^+ with f^+/- = f/2 +- coeff*u, coeff = Q/lam.
-
-    Its upwind flux f^-(w) + f^+(v) reproduces the Lax-Friedrichs-type flux
-    exactly.
-    """
-    def f_plus(u):
-        return 0.5 * np.asarray(model.flux(u)) + coeff * u
-
-    def f_minus(u):
-        return 0.5 * np.asarray(model.flux(u)) - coeff * u
-
-    return f_minus, f_plus
-
-
 def _check_splitting(model, f_minus, f_plus):
     rng = np.random.default_rng(0)
     if model.dimension == 1:
@@ -277,8 +261,8 @@ def run_split(model: SystemModel, u0, u_B, *, h, lam, q=None, t_end,
               splitting=None, n_cells=None, n_snapshots=33, store_all=False) -> GridSolution:
     """Flux-splitting scheme g(v, w) = f^-(w) + f^+(v).
 
-    With the default splitting (``lf_splitting`` with coeff Q/lam) the flux
-    equals the Lax-Friedrichs-type flux identically.  A user-supplied
+    With the default splitting f^+/- = f/2 +- coeff u, coeff = Q/lam, the
+    flux equals the Lax-Friedrichs-type flux identically.  A user-supplied
     ``splitting = (f_minus, f_plus)`` is validated against f = f^- + f^+.
     """
     if splitting is None:
@@ -287,7 +271,7 @@ def run_split(model: SystemModel, u0, u_B, *, h, lam, q=None, t_end,
         coeff = q / lam
         speed_bound, bufs = q, None
 
-        def faces(ext):  # lf_splitting's f^-(w) + f^+(v), one flux call, into buffers
+        def faces(ext):  # f^-(w) + f^+(v), f^+/- = f/2 +- coeff u, one flux call, into buffers
             nonlocal bufs
             if bufs is None:  # f/2, coeff u and g per cell of ext
                 bufs = tuple(np.empty((3,) + ext.shape))

@@ -4,6 +4,8 @@ Each model packages the flux, its Jacobian, an eigendecomposition, a list of
 entropy pairs (at least one strictly convex) and a viscosity matrix.  States
 for scalar models are floats or arrays (elementwise); built-in scalar fluxes
 keep a float a float; 2x2 states are arrays whose last axis has length 2.
+Every model callable takes state arrays: ``jacobian`` and ``viscosity`` map
+states (..., N) to matrices (..., N, N), and scalar states (...) to (..., 1, 1).
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ class SystemModel:
     name: str
     dimension: int
     flux: Callable
-    jacobian: Callable  # state -> (N, N) matrix
+    jacobian: Callable  # states (..., N) -> (..., N, N); scalar states (...) -> (..., 1, 1)
     entropies: tuple
-    viscosity: Callable  # state -> (N, N) matrix
+    viscosity: Callable  # as jacobian: B at each state
     state_region: tuple  # per-component (lo, hi) open bounds
     params: dict = field(default_factory=dict)
     # Scalar conveniences (None for systems): elementwise f', the interior
@@ -112,10 +114,11 @@ class SystemModel:
     def viscosity_diagonal(self, states) -> np.ndarray:
         """The diagonal of B, checked to be diagonal and equal at the given
         states (UnsupportedModelError otherwise): the viscous scheme and the
-        layer profile need a constant diagonal B."""
-        mats = [np.atleast_2d(np.asarray(self.viscosity(s), dtype=float)) for s in states]
+        layer profile need a constant diagonal B; a bare (N, N) matrix is constant."""
+        n = self.dimension
+        mats = np.broadcast_to(self.viscosity(np.asarray(states, dtype=float)), (len(states), n, n))
         b = mats[0]
-        if any(not np.array_equal(m, b) for m in mats[1:]) or np.any(b != np.diag(np.diag(b))):
+        if np.any(mats != b) or np.any(b != np.diag(np.diag(b))):
             raise UnsupportedModelError("needs a constant diagonal viscosity matrix B")
         return np.diag(b)
 
@@ -163,31 +166,23 @@ def _eig2(a: np.ndarray, tol: float = 1e-12):
     return np.array([lam1, lam2]), right
 
 
-def eigen_structure(model: SystemModel, state, tol_char: Optional[float] = None) -> EigenStructure:
+def eigen_structure(model: SystemModel, state) -> EigenStructure:
     """Eigenvalues/eigenvectors of the flux Jacobian at ``state``.
 
     Eigenvalues are sorted ascending; left eigenvectors are the rows of the
     inverse of the right eigenvector matrix, which makes the pairing
     biorthonormal by construction.
     """
-    if model.dimension == 1:
-        lam = float(model.dflux(float(np.asarray(state).reshape(()))))
-        tc = tol_char if tol_char is not None else 1e-9 * (1.0 + abs(lam))
-        evals = np.array([lam])
-        return EigenStructure(
-            eigenvalues=evals,
-            right=np.ones((1, 1)),
-            left=np.ones((1, 1)),
-            p=int(lam < -tc),
-            characteristic=bool(abs(lam) <= tc),
-            tol_char=tc,
-        )
-    a = np.asarray(model.jacobian(state), dtype=float)
-    if a.shape != (2, 2):
+    n = model.dimension
+    if n > 2:
         raise UnsupportedModelError("eigen_structure supports scalar and 2x2 models")
-    evals, right = _eig2(a)
-    left = np.linalg.inv(right)
-    tc = tol_char if tol_char is not None else 1e-9 * (1.0 + float(np.max(np.abs(evals))))
+    a = np.asarray(model.jacobian(state), dtype=float).reshape(n, n)
+    if n == 1:
+        evals, right, left = a[0], np.ones((1, 1)), np.ones((1, 1))
+    else:
+        evals, right = _eig2(a)
+        left = np.linalg.inv(right)
+    tc = 1e-9 * (1.0 + float(np.max(np.abs(evals))))
     p = int(np.sum(evals < -tc))
     characteristic = bool(np.any(np.abs(evals) <= tc))
     return EigenStructure(evals, right, left, p, characteristic, tc)
@@ -260,9 +255,9 @@ def _make_burgers(params):
 
     return SystemModel(
         name="burgers", dimension=1, flux=f,
-        jacobian=lambda u: np.array([[float(df(u))]]),
+        jacobian=lambda u: np.asarray(df(u), dtype=float)[..., None, None],
         entropies=_scalar_pairs(f, entropy_flux),
-        viscosity=lambda u: np.eye(1),
+        viscosity=lambda u: np.broadcast_to(np.eye(1), np.shape(u) + (1, 1)),
         state_region=((-np.inf, np.inf),),
         dflux=df, critical_points=(0.0,),
         max_char_speed=lambda u: np.abs(np.asarray(u, dtype=float)),
@@ -301,9 +296,9 @@ def _make_cubic(params):
 
     return SystemModel(
         name="cubic", dimension=1, flux=f,
-        jacobian=lambda u: np.array([[float(df(u))]]),
+        jacobian=lambda u: np.asarray(df(u), dtype=float)[..., None, None],
         entropies=_scalar_pairs(f, entropy_flux),
-        viscosity=lambda u: np.eye(1),
+        viscosity=lambda u: np.broadcast_to(np.eye(1), np.shape(u) + (1, 1)),
         state_region=((-np.inf, np.inf),),
         dflux=df, critical_points=(-1.0, 1.0),
         inflection_points=(0.0,),
@@ -342,9 +337,9 @@ def _make_linear2(params):
     amax = float(np.max(np.abs(evals)))
     return SystemModel(
         name="linear2", dimension=2, flux=f,
-        jacobian=lambda u: a.copy(),
+        jacobian=lambda u: np.broadcast_to(a, np.shape(u)[:-1] + (2, 2)),
         entropies=(quad,) + _trivial_pairs_system(f, 2),
-        viscosity=lambda u: np.diag(b_diag),
+        viscosity=lambda u: np.broadcast_to(np.diag(b_diag), np.shape(u)[:-1] + (2, 2)),
         state_region=((-np.inf, np.inf), (-np.inf, np.inf)),
         params={"A": a, "B": b_diag},
         max_char_speed=lambda u: np.full(np.asarray(u, dtype=float).shape[:-1], amax),
@@ -437,7 +432,9 @@ def _make_psystem(name, law, v_min=-np.inf):
 
     def jac(u):
         u = np.asarray(u, dtype=float)
-        return np.array([[0.0, -1.0], [-float(sigma_p(u[0])), 0.0]])
+        out = np.zeros(u.shape + (2,))
+        out[..., 0, 1], out[..., 1, 0] = -1.0, -sigma_p(u[..., 0])
+        return out
 
     energy = EntropyPair(
         U=lambda u: 0.5 * np.asarray(u, dtype=float)[..., 1] ** 2 + sigma_int(np.asarray(u, dtype=float)[..., 0]),
@@ -450,7 +447,7 @@ def _make_psystem(name, law, v_min=-np.inf):
     return SystemModel(
         name=name, dimension=2, flux=f, jacobian=jac,
         entropies=(energy,) + _trivial_pairs_system(f, 2),
-        viscosity=lambda u: np.eye(2),
+        viscosity=lambda u: np.broadcast_to(np.eye(2), np.shape(u)[:-1] + (2, 2)),
         state_region=((v_min, np.inf), (-np.inf, np.inf)),
         params=dict(law),
         max_char_speed=lambda u: np.sqrt(sigma_p(np.asarray(u, dtype=float)[..., 0])),
@@ -472,11 +469,13 @@ def _make_euler(params):
         return out
 
     def jac(u):
-        rho, m = float(u[0]), float(u[1])
-        return np.array([
-            [0.0, 1.0],
-            [-(m / rho) ** 2 + gamma * rho ** (gamma - 1.0), 2.0 * m / rho],
-        ])
+        u = np.asarray(u, dtype=float)
+        rho, m = u[..., 0], u[..., 1]
+        out = np.zeros(u.shape + (2,))
+        out[..., 0, 1], out[..., 1, 1] = 1.0, 2.0 * m / rho
+        # np.square, as for a batch: ** on one state's numpy scalar is libm's pow
+        out[..., 1, 0] = -np.square(m / rho) + gamma * rho ** (gamma - 1.0)
+        return out
 
     energy = EntropyPair(
         U=lambda u: 0.5 * np.asarray(u, dtype=float)[..., 1] ** 2 / np.asarray(u, dtype=float)[..., 0]
@@ -504,7 +503,7 @@ def _make_euler(params):
     return SystemModel(
         name="euler_isentropic", dimension=2, flux=f, jacobian=jac,
         entropies=(energy,) + _trivial_pairs_system(f, 2),
-        viscosity=lambda u: np.eye(2),
+        viscosity=lambda u: np.broadcast_to(np.eye(2), np.shape(u)[:-1] + (2, 2)),
         state_region=((0.0, np.inf), (-np.inf, np.inf)),
         params={"gamma": gamma},
         max_char_speed=max_speed,

@@ -22,6 +22,7 @@ CUBIC = make_model("cubic")
 LINEAR2 = make_model("linear2")
 ELASTO = make_model("elastodynamics")
 LAGR = make_model("lagrangian_gas")
+EULER = make_model("euler_isentropic")
 
 
 # Discrete LF layer step ------------------------------------------------------
@@ -59,11 +60,18 @@ def test_step_kernel_batch_equals_single_states():
     # one kernel call over M states gives what M one-state calls give, the
     # failed (no reachable root) states included
     rng = np.random.default_rng(5)
+
+    def positive(m):  # m states with a positive density or strain
+        return np.column_stack([rng.uniform(0.5, 2.0, m), rng.uniform(-1, 1, m)])
+
     cases = [(BURGERS, 0.25, rng.uniform(-2.5, 2.5, (61, 1)), rng.uniform(-2.5, 2.5, (61, 1))),
              (CUBIC, 0.25, rng.uniform(-2.5, 2.5, (61, 1)), rng.uniform(-2.5, 2.5, (61, 1))),
              # M = 1: linear2's flux is a matmul, whose rounding depends on M
              (LINEAR2, 0.1, rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (1, 2))),
-             (ELASTO, 0.1, rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (1, 2)))]
+             (ELASTO, 0.1, rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (1, 2))),
+             (ELASTO, 0.1, rng.uniform(-1, 1, (61, 2)), rng.uniform(-1, 1, (61, 2))),
+             (EULER, 0.1, positive(61), positive(61)),
+             (LAGR, 0.1, positive(61), positive(61))]
     for model, mu, v, v_inf in cases:
         f_inf = model.flux(v_inf)
         w, failed = _lf_step(model, mu, v, f_inf)
@@ -290,7 +298,7 @@ def test_huge_start_raises_the_named_error_not_an_overflow_warning():
 
 def test_profile_needs_constant_diagonal_viscosity_and_positive_horizon():
     state_dependent = dataclasses.replace(
-        BURGERS, viscosity=lambda u: np.array([[1.0 + float(u) ** 2]]))
+        BURGERS, viscosity=lambda u: (1.0 + np.asarray(u, dtype=float) ** 2)[..., None, None])
     coupled = dataclasses.replace(ELASTO, viscosity=lambda u: np.array([[1.0, 0.5], [0.5, 1.0]]))
     with pytest.raises(UnsupportedModelError):
         viscous_layer_profile(state_dependent, 1.0, -2.0)

@@ -406,7 +406,7 @@ def test_viscous_rejects_eps_not_finite_positive(eps):
 def test_viscous_needs_constant_diagonal_viscosity():
     u0 = np.linspace(-0.5, 0.5, 40)
     state_dependent = dataclasses.replace(
-        BURGERS, viscosity=lambda u: np.array([[1.0 + float(u) ** 2]]))
+        BURGERS, viscosity=lambda u: (1.0 + np.asarray(u, dtype=float) ** 2)[..., None, None])
     with pytest.raises(ValueError):
         run_viscous(state_dependent, u0, 0.3, h=0.02, eps=0.02, t_end=0.05, n_cells=40)
     coupled = dataclasses.replace(ELASTO, viscosity=lambda u: np.array([[1.0, 0.5], [0.5, 1.0]]))

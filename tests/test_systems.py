@@ -156,6 +156,24 @@ def test_psystem_eigenvalues_closed_form():
         np.testing.assert_allclose(es.eigenvalues, [-c, c], rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_jacobian_and_viscosity_take_state_arrays(name):
+    # one call on 61 states returns (61, N, N): each state's matrix, bit for bit
+    m = make_model(name)
+    n = m.dimension
+    rng = np.random.default_rng(61)
+    if n == 1:
+        states = rng.uniform(-2.5, 2.5, 61)
+    else:
+        states = np.column_stack([rng.uniform(0.3, 3.0, 61), rng.uniform(-2.0, 2.0, 61)])
+    for fn in (m.jacobian, m.viscosity):
+        batch = fn(states)
+        assert batch.shape == (61, n, n)
+        for s, row in zip(states, batch):
+            single = np.asarray(fn(float(s) if n == 1 else s))
+            assert single.shape == (n, n) and single.tobytes() == row.tobytes(), (fn, s)
+
+
 # Structural invariants -------------------------------------------------------
 
 
