@@ -6,7 +6,8 @@ Each scheme case is one run of a scheme at 640 cells on a Burgers, cubic or
 elastodynamics Riemann datum; its time per step is the run's wall time
 divided by its number of steps (over a thousand, so the run's set-up is a
 small share).  The cubic datum spans both critical points of f, the
-candidates of the Godunov flux.  Each ``entropy_residual`` case is one
+candidates of the Godunov flux.  ``split_burgers`` runs the flux-splitting
+scheme with its default splitting on the ``lf_burgers`` datum.  Each ``entropy_residual`` case is one
 ``discrete_entropy_residual`` call on the stored history of the LF or
 Godunov Burgers run, made once per tree before timing; its time is per
 stored level.  Its block temporaries (about 256 KiB each) lie above glibc's
@@ -169,6 +170,8 @@ def cases(schemes, systems, layers, riemann, cli, tmp):
             n_cells=CELLS))),
         "lf_burgers": ("step", lambda: steps(lf(burgers, -2.0, 1.0))),
         "lf_cubic": ("step", lambda: steps(lf(cubic, -1.5, 1.2))),
+        "split_burgers": ("step", lambda: steps(schemes.run_split(
+            burgers, -2.0, 1.0, h=h, lam=0.2, q=0.5, t_end=0.2, n_cells=CELLS))),
         "godunov_burgers": ("step", lambda: steps(godunov(burgers, -2.0, 1.0))),
         "godunov_cubic": ("step", lambda: steps(godunov(cubic, -1.5, 1.2))),
         "entropy_residual_lf": residual(lf(burgers, -2.0, 1.0, store_all=True)),

@@ -19,7 +19,7 @@ from itertools import groupby
 import numpy as np
 
 from quarterplane.layers import elasto_layer_curve, viscous_member_scalar
-from quarterplane.riemann import godunov_trace_scalar
+from quarterplane.riemann import godunov_flux, godunov_trace_scalar
 from quarterplane.schemes import numerical_flux
 from quarterplane.systems import SystemModel, UnsupportedModelError, kruzkov_pair, stress_law
 
@@ -39,6 +39,7 @@ __all__ = [
 
 TOL_SET = 1e-9  # closed-form sets
 TOL_SAMPLED = 1e-4  # sampled / numeric sets
+BOX = (-3.0, 3.0)  # the state interval that scheme checks scan and audits sample
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class ScalarSet:
 
     intervals: tuple = ()  # (lo, hi, lo_closed, hi_closed), +-inf allowed
     points: tuple = ()
-    tol: float = TOL_SET
 
     def __post_init__(self):
         ivs = sorted(self.intervals)
@@ -65,11 +65,11 @@ class ScalarSet:
 
     def member(self, x: float) -> bool:
         for p in self.points:
-            if abs(x - p) <= self.tol:
+            if abs(x - p) <= TOL_SET:
                 return True
         for lo, hi, lo_c, hi_c in self.intervals:
-            above = x >= lo - self.tol if lo_c else x > lo
-            below = x <= hi + self.tol if hi_c else x < hi
+            above = x >= lo - TOL_SET if lo_c else x > lo
+            below = x <= hi + TOL_SET if hi_c else x < hi
             if above and below:
                 return True
         return False
@@ -123,7 +123,7 @@ def kruzkov_worst(model: SystemModel, u_0, u_B: float):
     2 sgn(u_B - u_0) (g(u_B, u_0) - f(u_0)).
     """
     u_0 = np.asarray(u_0, dtype=float)
-    g = np.asarray(model.flux(godunov_trace_scalar(model, u_B, u_0)))
+    g = godunov_flux(model, u_B, u_0)
     worst = 2.0 * np.sign(u_B - u_0) * (g - np.asarray(model.flux(u_0)))
     return float(worst) if worst.ndim == 0 else worst
 
@@ -163,7 +163,7 @@ def entropy_check(model: SystemModel, u_0, u_B, pairs=None):
 
 
 def scheme_entropy_check(model: SystemModel, scheme, u_0: float, u_B: float,
-                         v_1=None, box=(-3.0, 3.0), n_grid=601) -> bool:
+                         v_1=None) -> bool:
     """Existence of an interior witness v_1 with G_k(u_B, v_1) >= F_k(u_0)
     for the whole Kruzkov family (k on a grid over the state box).
 
@@ -171,8 +171,9 @@ def scheme_entropy_check(model: SystemModel, scheme, u_0: float, u_B: float,
     candidates and polishes the best margin with a bounded 1-d optimizer."""
     if model.dimension != 1:
         raise UnsupportedModelError("scalar models only")
-    lo = min(box[0], u_0, u_B) - 0.5
-    hi = max(box[1], u_0, u_B) + 0.5
+    n_grid = 601
+    lo = min(BOX[0], u_0, u_B) - 0.5
+    hi = max(BOX[1], u_0, u_B) + 0.5
     pair = kruzkov_pair(model, np.linspace(lo, hi, n_grid))
     G = numerical_flux(model, scheme, pair.F, pair.U)
     f_0 = pair.F(u_0)
@@ -337,14 +338,14 @@ def layer_member_oracle(model: SystemModel, u_B: float, candidates, regularizati
 
 
 def inclusion_audit(model: SystemModel, u_B, regularization, n_samples: int = 1000,
-                    seed: int = 0, box=(-3.0, 3.0)) -> AuditReport:
+                    seed: int = 0) -> AuditReport:
     """Sample candidate limits and assert layer membership implies entropy
     membership; returns the (expected empty) list of counterexamples."""
     rng = np.random.default_rng(seed)
     violations = []
 
     if model.dimension == 1:
-        samples = rng.uniform(box[0], box[1], n_samples)
+        samples = rng.uniform(BOX[0], BOX[1], n_samples)
         members = layer_member_oracle(model, float(u_B), samples, regularization)
         n_members = int(members.sum())
         worst = kruzkov_worst(model, samples[members], float(u_B))

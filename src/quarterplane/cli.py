@@ -571,12 +571,11 @@ def example_path(name: str) -> str:
     raise SchemaError(f"no bundled config named {name!r}")
 
 
-def list_examples(stream=None) -> int:
-    stream = stream or sys.stdout
+def list_examples() -> int:
     for name in example_names():
         with open(example_path(name)) as fh:
             cfg = json.load(fh)
-        stream.write(f"{name}: {cfg.get('description', '')}\n")
+        print(f"{name}: {cfg.get('description', '')}")
     return 0
 
 

@@ -124,16 +124,15 @@ class StudyRow:
 
 
 def convergence_study(model: SystemModel, make_solution, parameters,
-                      expected_trace=None, profile_reference=None,
-                      profile_window=(0.0, 5.0), window=None,
-                      noise_factor: float = 1.5):
+                      expected_trace=None, profile_reference=None):
     """Run the solver family over a parameter sequence and tabulate trace and
     profile errors.
 
     ``make_solution(p)`` returns a GridSolution; ``profile_reference`` is a
-    callable y -> state compared in sup norm on ``profile_window``.  Returns
-    (rows, flags) where the flags record whether the error sequences are
-    nonincreasing within the noise factor.
+    callable y -> state compared in sup norm on the window 0 <= y <= 5.
+    Returns (rows, flags) where the flags record whether the error sequences
+    are nonincreasing within a noise factor of 1.5: each error at most 1.5
+    times the one before, and the last no larger than the first.
     """
     parameters = list(parameters)
     if sorted(parameters) not in (parameters, parameters[::-1]):
@@ -141,14 +140,14 @@ def convergence_study(model: SystemModel, make_solution, parameters,
     rows = []
     for p in parameters:
         sol = make_solution(p)
-        rep = extract_boundary_trace(model, sol, window=window)
+        rep = extract_boundary_trace(model, sol)
         te = None
         if expected_trace is not None:
             te = float(np.linalg.norm(np.atleast_1d(rep.trace)
                                       - np.atleast_1d(np.asarray(expected_trace, dtype=float))))
         pe = None
         if profile_reference is not None:
-            ys = np.linspace(profile_window[0], profile_window[1], 201)
+            ys = np.linspace(0.0, 5.0, 201)
             ys = ys[ys <= rep.profile_y[-1]]
             got = np.asarray(rep.profile_interp(ys))
             ref = np.asarray([profile_reference(float(y)) for y in ys], dtype=float)
@@ -164,7 +163,7 @@ def convergence_study(model: SystemModel, make_solution, parameters,
         vals = [v for v in vals if v is not None]
         if len(vals) < 2:
             return None
-        ok_steps = all(b <= noise_factor * a for a, b in zip(vals, vals[1:]))
+        ok_steps = all(b <= 1.5 * a for a, b in zip(vals, vals[1:]))
         return ok_steps and vals[-1] <= vals[0]
 
     flags = {

@@ -28,8 +28,6 @@ __all__ = [
     "godunov_flux",
     "godunov_trace_scalar",
     "psystem_riemann_trace",
-    "conjugate_state",
-    "cubic_companions",
 ]
 
 
@@ -165,27 +163,6 @@ def godunov_flux(model: SystemModel, u_left, u_right):
     if model.dimension == 1:
         return _godunov_scalar(model, u_left, u_right)[1][()]  # a 0-d result unwrapped
     return psystem_riemann_trace(model, u_left, u_right).flux_at_zero
-
-
-# --- Convex-flux conjugate states and cubic companions -----------------------
-
-
-def conjugate_state(model: SystemModel, u_B: float) -> float:
-    """The other root of f(u) = f(u_B) for a strictly convex scalar flux."""
-    if model.dimension != 1 or not model.flux_convex or model.level_roots is None:
-        raise UnsupportedModelError("conjugate_state requires a strictly convex scalar flux")
-    roots = model.level_roots(float(u_B))
-    if not roots:
-        raise ValueError("the sonic state has no conjugate")
-    return roots[0]
-
-
-def cubic_companions(model: SystemModel, u_B: float):
-    """Roots u != u_B of f(u) = f(u_B) for a non-convex scalar flux (the
-    cubic), sorted ascending."""
-    if model.flux_convex or model.level_roots is None:
-        raise UnsupportedModelError("cubic_companions requires a non-convex flux with level roots")
-    return model.level_roots(float(u_B))
 
 
 # --- Brent's method -----------------------------------------------------------

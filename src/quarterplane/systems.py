@@ -26,7 +26,6 @@ __all__ = [
     "stress_law",
     "eigen_structure",
     "classify_euler_region",
-    "entropy_eval",
     "kruzkov_pair",
 ]
 
@@ -126,12 +125,13 @@ class SystemModel:
 # --- Eigen helpers -----------------------------------------------------------
 
 
-def _eig2(a: np.ndarray, tol: float = 1e-12):
+def _eig2(a: np.ndarray):
     """Closed-form eigendecomposition of a real 2x2 matrix.
 
     Returns (eigenvalues ascending, right eigenvector matrix).  Raises
     HyperbolicityError for complex or defective spectra.
     """
+    tol = 1e-12
     tr = a[0, 0] + a[1, 1]
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     disc = tr * tr - 4.0 * det
@@ -171,12 +171,15 @@ def eigen_structure(model: SystemModel, state) -> EigenStructure:
 
     Eigenvalues are sorted ascending; left eigenvectors are the rows of the
     inverse of the right eigenvector matrix, which makes the pairing
-    biorthonormal by construction.
+    biorthonormal by construction.  A Jacobian that is not finite raises
+    ValueError.
     """
     n = model.dimension
     if n > 2:
         raise UnsupportedModelError("eigen_structure supports scalar and 2x2 models")
     a = np.asarray(model.jacobian(state), dtype=float).reshape(n, n)
+    if not np.isfinite(a).all():
+        raise ValueError(f"the flux Jacobian at state {np.asarray(state).tolist()} is not finite")
     if n == 1:
         evals, right, left = a[0], np.ones((1, 1)), np.ones((1, 1))
     else:
@@ -186,11 +189,6 @@ def eigen_structure(model: SystemModel, state) -> EigenStructure:
     p = int(np.sum(evals < -tc))
     characteristic = bool(np.any(np.abs(evals) <= tc))
     return EigenStructure(evals, right, left, p, characteristic, tc)
-
-
-def entropy_eval(pair: EntropyPair, state):
-    """Evaluate an entropy pair, returning the triple (U, F, grad U)."""
-    return pair.U(state), pair.F(state), pair.grad_U(state)
 
 
 # --- Built-in models ---------------------------------------------------------

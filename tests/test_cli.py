@@ -856,3 +856,16 @@ def test_profile_with_non_finite_start_velocity_exits_3(model, u_B, tmp_path):
         code, rep = _run_in_process(cfg, tmp_path)
     assert code == 3 and rep["error"] == "numerical"
     assert rep["message"] == "the layer ODE's velocity at u_B is not finite"
+
+
+def test_lf_profile_with_a_jacobian_that_is_not_finite_exits_3(tmp_path):
+    # gamma = 1e300 overflows the Jacobian at v_inf: the manifold report
+    # names it, instead of the strict JSON writer's non-finite result
+    cfg = {"task": "layer", "model": {"name": "euler_isentropic", "params": {"gamma": 1e300}},
+           "params": {"mode": "profile", "regularization": {"type": "lf", "lam": 0.1, "q": 0.5},
+                      "u_B": [1.5, 0.3], "v_inf": [1.2, 0.2]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, rep = _run_in_process(cfg, tmp_path)
+    assert code == 3 and rep["error"] == "numerical"
+    assert rep["message"] == "the flux Jacobian at state [1.2, 0.2] is not finite"

@@ -7,8 +7,6 @@ import hypothesis.strategies as st
 
 from quarterplane.riemann import (
     SolverFailure,
-    conjugate_state,
-    cubic_companions,
     godunov_flux,
     godunov_trace_scalar,
     psystem_riemann_trace,
@@ -152,29 +150,28 @@ def test_unsupported_scalar_flux_raises():
 
 
 def test_burgers_conjugates():
-    assert conjugate_state(BURGERS, 1.0) == pytest.approx(-1.0)
-    assert conjugate_state(BURGERS, -3.0) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        conjugate_state(BURGERS, 0.0)
+    assert BURGERS.level_roots(1.0)[0] == pytest.approx(-1.0)
+    assert BURGERS.level_roots(-3.0)[0] == pytest.approx(3.0)
+    assert BURGERS.level_roots(0.0) == ()  # the sonic state has no conjugate
 
 
 def test_cubic_companions_cases():
-    assert cubic_companions(CUBIC, -2.0) == pytest.approx((1.0,))
-    roots = cubic_companions(CUBIC, 1.5)
+    assert CUBIC.level_roots(-2.0) == pytest.approx((1.0,))
+    roots = CUBIC.level_roots(1.5)
     assert roots == pytest.approx((-1.8956439237389600, 0.39564392373895998), abs=1e-12)
-    assert cubic_companions(CUBIC, 3.0) == ()
-    assert cubic_companions(CUBIC, 1.0) == pytest.approx((-2.0,))
-    assert cubic_companions(CUBIC, -1.0) == pytest.approx((2.0,))
-    assert cubic_companions(CUBIC, 2.0) == pytest.approx((-1.0,))
+    assert CUBIC.level_roots(3.0) == ()
+    assert CUBIC.level_roots(1.0) == pytest.approx((-2.0,))
+    assert CUBIC.level_roots(-1.0) == pytest.approx((2.0,))
+    assert CUBIC.level_roots(2.0) == pytest.approx((-1.0,))
     # only u = +-1 itself loses the root v = u
-    assert cubic_companions(CUBIC, 1.0000000001) == pytest.approx((-2.0, 0.9999999999), abs=1e-12)
-    assert cubic_companions(CUBIC, -1.0000000001) == pytest.approx((-0.9999999999, 2.0), abs=1e-12)
+    assert CUBIC.level_roots(1.0000000001) == pytest.approx((-2.0, 0.9999999999), abs=1e-12)
+    assert CUBIC.level_roots(-1.0000000001) == pytest.approx((-0.9999999999, 2.0), abs=1e-12)
 
 
 def test_cubic_companion_flux_accuracy():
     rng = np.random.default_rng(11)
     for u_B in rng.uniform(-2, 2, 100):
-        for r in cubic_companions(CUBIC, u_B):
+        for r in CUBIC.level_roots(u_B):
             assert abs(float(CUBIC.flux(r)) - float(CUBIC.flux(u_B))) <= 1e-10
 
 

@@ -39,6 +39,25 @@ def test_split_equals_lf():
     np.testing.assert_allclose(a.final, b.final, atol=1e-13)
 
 
+@pytest.mark.parametrize("name", ["burgers", "cubic", "linear2", "elastodynamics",
+                                  "euler_isentropic", "lagrangian_gas"])
+def test_default_split_run_equals_lf_bit_for_bit(name):
+    # the default splitting's flux is the LF flux, from the same face kernel
+    model = make_model(name)
+    rng = np.random.default_rng(21)
+    if model.dimension == 1:
+        u0, u_B = rng.uniform(-0.5, 0.5, 60), 0.3
+    else:
+        u0, u_B = rng.uniform(0.5, 1.0, (60, 2)), np.array([0.8, 0.6])
+    lam = 0.4 / float(np.max(model.max_char_speed(np.concatenate([u0, [u_B]]))))
+    kw = dict(h=0.01, lam=lam, q=0.5, t_end=40 * lam * 0.01, n_cells=60, store_all=True)
+    a, b = run_lf(model, u0, u_B, **kw), run_split(model, u0, u_B, **kw)
+    assert a.history.shape[0] == 41 and np.array_equal(a.history, b.history)
+    for field in ("mass_initial", "mass_final", "flux_time_integral_left",
+                  "flux_time_integral_right"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 def test_upwind_splitting_outflow():
     # f+ carries u >= 0, f- carries u < 0; over the constant -2 everything
     # is left-going and the interior stays at -2.

@@ -7,7 +7,6 @@ from quarterplane.systems import (
     HyperbolicityError,
     classify_euler_region,
     eigen_structure,
-    entropy_eval,
     kruzkov_pair,
     make_model,
 )
@@ -156,6 +155,14 @@ def test_psystem_eigenvalues_closed_form():
         np.testing.assert_allclose(es.eigenvalues, [-c, c], rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # numpy's rho ** gamma
+def test_eigen_structure_rejects_a_jacobian_that_is_not_finite():
+    # gamma = 1e300 overflows the sound speed: no eigenvalues (-inf, inf)
+    m = make_model("euler_isentropic", gamma=1e300)
+    with pytest.raises(ValueError, match=r"Jacobian at state \[1.5, 0.3\] is not finite"):
+        eigen_structure(m, (1.5, 0.3))
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_jacobian_and_viscosity_take_state_arrays(name):
     # one call on 61 states returns (61, N, N): each state's matrix, bit for bit
@@ -230,7 +237,8 @@ def test_strictly_convex_hessians_positive_definite():
 
 def test_entropy_eval_burgers_quadratic():
     m = make_model("burgers")
-    u_val, f_val, g_val = entropy_eval(m.entropies[0], 2.0)
+    pair = m.entropies[0]
+    u_val, f_val, g_val = pair.U(2.0), pair.F(2.0), pair.grad_U(2.0)
     assert u_val == pytest.approx(2.0)
     assert f_val == pytest.approx(8.0 / 3.0)
     assert g_val == pytest.approx(2.0)
@@ -239,7 +247,7 @@ def test_entropy_eval_burgers_quadratic():
 def test_kruzkov_values():
     m = make_model("burgers")
     pair = kruzkov_pair(m, 0.0)
-    u_val, f_val, g_val = entropy_eval(pair, -1.0)
+    u_val, f_val, g_val = pair.U(-1.0), pair.F(-1.0), pair.grad_U(-1.0)
     assert u_val == pytest.approx(1.0)
     assert f_val == pytest.approx(-0.5)
     assert g_val == pytest.approx(-1.0)
@@ -248,7 +256,7 @@ def test_kruzkov_values():
 def test_kruzkov_at_base_point():
     m = make_model("cubic")
     pair = kruzkov_pair(m, 0.7)
-    assert entropy_eval(pair, 0.7) == (0.0, 0.0, 0.0)
+    assert (pair.U(0.7), pair.F(0.7), pair.grad_U(0.7)) == (0.0, 0.0, 0.0)
 
 
 # Euler regions ---------------------------------------------------------------
