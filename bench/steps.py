@@ -19,24 +19,29 @@ temporaries are reused from the heap and the residual cases time the
 arithmetic.  Each ``profile`` case computes one layer profile ``PROFILES``
 times and reports the time per profile: ``viscous_layer_profile`` of a
 Burgers and of a cubic member, and ``discrete_layer_membership`` (LF, lam
-0.1, q 0.5) of a Burgers member and of a non-member, whose last step fails
-Newton.  Each ``lf_step`` case is one ``layers._lf_step`` call (mu 0.1), the
-implicit LF layer step, on ``STATES`` elastodynamics or ``euler_isentropic``
-states within 0.05 of a limit, all drawn once from a seeded generator, and
-reports the time per state.  Each ``riemann_psystem`` case solves ``SOLVES``
-p-system Riemann problems (``psystem_riemann_trace``), elastodynamics or
-Lagrangian gas, on data drawn once from a seeded generator (strains in
-[0.5, 1.5], velocities in [-1, 1]), and reports the time per solve.  Each ``write`` case calls
-``cli._atomic_write`` ``WRITES`` times with a text of about 2 KiB: to a new
-name each time (a first run into a fresh ``--out``), onto a file that
-already holds the same bytes (a rerun), and onto a file of the same length
-whose bytes differ (so the bytes are compared, then replaced).  Its files go
-in a new directory under the system's temporary directory (``TMPDIR``),
-removed at the end; a replace costs what the filesystem makes it cost, so
-put that directory on the device where the artifacts go.  One untimed run
-per case and tree comes first, so imports are not timed.  A case reports its
-unit (``step``, ``level``, ``profile``, ``state``, ``solve`` or ``write``) and
-count, the median over ``--repeats`` runs (at least 5) and every run.
+0.1, q 0.5) of a Burgers member, of a Burgers non-member, whose last step
+fails Newton, and of the cubic member 1.5 -> -0.5.  ``lf_batch_cubic`` is one
+``lf_membership_scalar_batch`` call, the iterated cross-check of the exact LF
+oracle (cubic, u_B 1.5, lam 0.04, q 0.5, y_max 20000), on the ``CANDIDATES``
+limits linspace(-3, 3, 61) with member_tol 5e-4 (1 + |v_inf|), and reports
+the time per candidate.  Each ``lf_step`` case is one ``layers._lf_step``
+call (mu 0.1), the implicit LF layer step, on ``STATES`` elastodynamics or
+``euler_isentropic`` states within 0.05 of a limit, all drawn once from a
+seeded generator, and reports the time per state.  Each ``riemann_psystem``
+case solves ``SOLVES`` p-system Riemann problems (``psystem_riemann_trace``),
+elastodynamics or Lagrangian gas, on data drawn once from a seeded generator
+(strains in [0.5, 1.5], velocities in [-1, 1]), and reports the time per
+solve.  Each ``write`` case calls ``cli._atomic_write`` ``WRITES`` times with
+a text of about 2 KiB: to a new name each time (a first run into a fresh
+``--out``), onto a file that already holds the same bytes (a rerun), and onto
+a file of the same length whose bytes differ (so the bytes are compared, then
+replaced).  Its files go in a new directory under the system's temporary
+directory (``TMPDIR``), removed at the end; a replace costs what the
+filesystem makes it cost, so put that directory on the device where the
+artifacts go.  One untimed run per case and tree comes first, so imports are
+not timed.  A case reports its unit (``step``, ``level``, ``profile``,
+``candidate``, ``state``, ``solve`` or ``write``) and count, the median over
+``--repeats`` runs (at least 5) and every run.
 
 ``--src`` names the source trees to import ``quarterplane`` from (default:
 ``src`` beside this script).  Given two trees, say a parent's and a
@@ -73,6 +78,7 @@ import numpy as np
 CELLS = 640
 PROFILES = 20
 STATES = 200
+CANDIDATES = 61
 SOLVES = 100
 WRITES = 50
 
@@ -102,7 +108,8 @@ TEXTS = ["".join(f"{tag},{i / 7!r}\n" for i in range(112)) for tag in "ab"]
 
 def cases(schemes, systems, layers, riemann, cli, tmp):
     """{name: (unit, run)}, ``run`` a no-argument call returning how many
-    units (steps, stored levels, profiles, states, solves or writes) it took.
+    units (steps, stored levels, profiles, candidates, states, solves or
+    writes) it took.
     The write cases use files in the directory ``tmp``."""
     burgers = systems.make_model("burgers")
     cubic = systems.make_model("cubic")
@@ -127,6 +134,13 @@ def cases(schemes, systems, layers, riemann, cli, tmp):
                 layer(*args)
             return PROFILES
         return "profile", run
+
+    grid = np.linspace(-3.0, 3.0, CANDIDATES)
+
+    def lf_batch():
+        layers.lf_membership_scalar_batch(cubic, 0.04, 0.5, 1.5, grid, y_max=20000,
+                                          member_tol=5e-4 * (1.0 + np.abs(grid)))
+        return CANDIDATES
 
     def lf_step(model):
         rng = np.random.default_rng(11)
@@ -182,6 +196,9 @@ def cases(schemes, systems, layers, riemann, cli, tmp):
                                      1.0, -2.0),
         "profile_lf_nonmember": profile(layers.discrete_layer_membership, burgers, lf_layer,
                                         1.03, -0.5),
+        "profile_lf_cubic_member": profile(layers.discrete_layer_membership, cubic, lf_layer,
+                                           1.5, -0.5),
+        "lf_batch_cubic": ("candidate", lf_batch),
         "lf_step_elastodynamics": lf_step(elasto),
         "lf_step_euler_isentropic": lf_step(systems.make_model("euler_isentropic")),
         "riemann_psystem_elastic": solves(elasto),

@@ -6,10 +6,11 @@ v -> T(v) = w with w - mu f(w) = v + mu f(v) - 2 mu f(v_inf), mu = lam/(2q).
 For systems, membership is forward integration/iteration from u_B:
 trajectories off the stable set diverge or stall at a spurious equilibrium.
 
-Every LF layer computation is one damped-Newton kernel, ``_lf_step``, over
-states of shape (M, N) (N = 1 for scalars), run by one orbit loop,
-``_lf_orbit``, that gives each of M limits one verdict: one step, one profile
-(M = 1) and the batch cross-check are thin callers.
+Every LF layer computation is one damped Newton, ``_lf_step`` over states
+of shape (M, N) and its float twin ``_lf_step_scalar`` for one scalar state,
+run by one orbit loop, ``_lf_orbit``, that follows one limit to one verdict:
+one step, one profile and each candidate of the batch cross-check are thin
+callers.  Systems step at M = 1; the batched kernel is the twin's reference.
 
 For scalar fluxes membership is decided exactly on the phase line
 (``viscous_member_scalar``), for both regularizations.  If mu |f'| < 1 on the
@@ -62,10 +63,6 @@ class LayerProfile:
     verdict: str  # converged | diverged | stalled | horizon-reached
     distance_at_horizon: float
 
-    @property
-    def converged(self) -> bool:
-        return self.verdict == "converged"
-
     def interp(self, y):
         """Piecewise-linear sample of the profile at y (continuous kind)."""
         return interp_states(y, self.ys, self.states)
@@ -97,7 +94,6 @@ class CurveSet:
     base_point: np.ndarray
     points: np.ndarray  # shape (M, 2)
     tangent: np.ndarray  # unit tangent at the base point
-    dimension: int
 
 
 # --- Continuous (viscous) layers --------------------------------------------
@@ -293,7 +289,6 @@ def viscous_member_scalar(model: SystemModel, u_B: float, v_inf):
 
 # --- Discrete (scheme) layers ------------------------------------------------
 
-_VERDICTS = ("converged", "diverged", "stalled", "horizon-reached")
 _NEWTON_MAX_ITER, _NEWTON_TOL = 100, 1e-12  # the Newton of _lf_step
 
 
@@ -354,66 +349,96 @@ def _lf_step(model: SystemModel, mu: float, v, f_inf):
     return w, failed | ~(nr <= _NEWTON_TOL * (1.0 + _norms(w)))
 
 
+def _lf_step_scalar(model: SystemModel, mu: float, v: float, f_inf: float):
+    """``_lf_step`` of one scalar state on floats: the same operations in the
+    same order, with the halving ladder climbed one rung at a time."""
+    fv = model.flux(v)
+    c = v + mu * (fv - 2.0 * f_inf)
+    w, r = v, v - mu * fv - c
+    nr = abs(r)
+    for _ in range(_NEWTON_MAX_ITER):
+        if nr <= _NEWTON_TOL * (1.0 + abs(w)):
+            return w, False
+        den = mu * model.dflux(w) - 1.0
+        step = r / den if den != 0.0 else math.nan
+        for _ in range(31):  # the full step, then 30 halvings
+            w_new = w + step
+            r_new = w_new - mu * model.flux(w_new) - c
+            if abs(r_new) < nr:
+                break
+            step *= 0.5
+        else:
+            return w_new, True
+        w, r, nr = w_new, r_new, abs(r_new)
+    return w, not nr <= _NEWTON_TOL * (1.0 + abs(w))
+
+
 def _lf_orbit(model: SystemModel, mu: float, u_B, v_inf, y_max: int, member_tol=None):
-    """Iterate the LF layer step from u_B (shape (N,)) toward each row of
-    v_inf (shape (M, N)) for at most y_max steps.  With tol = 1e-6 (1 +
-    |v_inf|), accept = member_tol (default 1e-3 tol) and near = max(tol,
-    accept), each limit gets one verdict, an index into _VERDICTS: diverged
-    when Newton fails (adding no state) or the state is not finite, leaves
-    the model's region or is farther than 10 (1 + |u_B - v_inf| + |v_inf|)
-    from v_inf; converged within accept of v_inf; stalled when the orbit
-    creeps to another fixed point: farther than near from v_inf, with a step
-    s under near and a geometric tail s r / (1 - r), r = s / (previous step)
-    < 1, under a quarter of the distance.  The tail is the remaining travel
-    of a geometric orbit and half that of one creeping as 1/y to a tangency
-    (f' = 0) point, so no orbit bound for v_inf stalls.  After y_max steps:
-    converged within near, horizon-reached otherwise.  Returns the verdicts,
-    the last distances and, for M = 1, the orbit (the states from u_B on)."""
-    m = len(v_inf)
-    tol = 1e-6 * (1.0 + _norms(v_inf))
-    accept = 1e-3 * tol if member_tol is None else member_tol
-    near = np.maximum(tol, accept)
-    dist = _norms(u_B - v_inf)
-    blow = 10.0 * (1.0 + dist + _norms(v_inf))
-    lo, hi = np.array(model.state_region, dtype=float).T
-    f_inf = model.flux(v_inf)
-    verdict = np.full(m, 3)
-    orbit = [u_B] if m == 1 else None
-    v, s_prev, d_prev, idx = np.tile(u_B, (m, 1)), blow, dist, np.arange(m)
-    for _ in range(y_max):
-        if not idx.size:
-            break
-        w, failed = _lf_step(model, mu, v, f_inf)
-        d, s = _norms(w - v_inf), _norms(w - v)
-        if m == 1 and not failed[0]:
-            orbit.append(w[0])
-        out = failed | ~(d <= blow) | ~((w > lo) & (w < hi)).all(axis=1)
-        conv = d <= accept
-        stall = (d > near) & (s < near) & (4.0 * s * s <= d * (s_prev - s))
-        done = out | conv | stall
-        if done.any():  # compacting every step slows the cubic 1.5 -> -0.5 profile 1.2x
-            verdict[idx[done]] = np.where(out, 1, np.where(conv, 0, 2))[done]
-            dist[idx[done]] = np.where(failed, d_prev, d)[done]
-            keep = ~done
-            idx, w, v_inf, f_inf, accept, near, blow, s, d = (
-                a[keep] for a in (idx, w, v_inf, f_inf, accept, near, blow, s, d))
-        v, s_prev, d_prev = w, s, d
+    """Iterate the LF layer step from u_B toward v_inf (floats for a scalar
+    model, stepped by ``_lf_step_scalar``; shape (N,) otherwise, stepped by
+    ``_lf_step``) for at most y_max steps.  With tol = 1e-6 (1 + |v_inf|),
+    accept = member_tol (default 1e-3 tol) and near = max(tol, accept), the
+    verdict is: diverged when Newton fails (adding no state) or the state is
+    not finite, leaves the model's region or is farther than 10 (1 + |u_B -
+    v_inf| + |v_inf|) from v_inf; converged within accept of v_inf; stalled
+    when the orbit creeps to another fixed point: farther than near from
+    v_inf, with a step s under near and a geometric tail s r / (1 - r), r = s
+    / (previous step) < 1, under a quarter of the distance.  The tail is the
+    remaining travel of a geometric orbit and half that of one creeping as
+    1/y to a tangency (f' = 0) point, so no orbit bound for v_inf stalls.
+    After y_max steps: converged within near, horizon-reached otherwise.
+    Returns the verdict, the last distance and the orbit (the states from u_B
+    on).  ValueError when a scalar flux at u_B or v_inf is not finite."""
+    if model.dimension == 1:
+        f_inf, (lo, hi) = model.flux(v_inf), model.state_region[0]
+        for name, u, f in (("u_B", u_B, model.flux(u_B)), ("v_inf", v_inf, f_inf)):
+            if not math.isfinite(f):
+                raise ValueError(f"the flux at {name} = {u!r} is not finite")
+        norm, inside = abs, lambda w: lo < w < hi
+        step = lambda v: _lf_step_scalar(model, mu, v, f_inf)
     else:
-        verdict[idx] = np.where(d_prev <= near, 0, 3)
-        dist[idx] = d_prev
-    return verdict, dist, orbit
+        f_inf = model.flux(v_inf[None])
+        norm, inside = lambda x: float(_norms(x)), model.in_region
+
+        def step(v):
+            w, failed = _lf_step(model, mu, v[None], f_inf)
+            return w[0], failed[0]
+    tol = 1e-6 * (1.0 + norm(v_inf))
+    accept = 1e-3 * tol if member_tol is None else member_tol
+    near = max(tol, accept)
+    dist = norm(u_B - v_inf)
+    blow = 10.0 * (1.0 + dist + norm(v_inf))
+    v, s_prev, d_prev, orbit = u_B, blow, dist, [u_B]
+    for _ in range(y_max):
+        w, failed = step(v)
+        if failed:
+            return "diverged", d_prev, orbit
+        orbit.append(w)
+        d, s = norm(w - v_inf), norm(w - v)
+        if not (d <= blow and inside(w)):
+            return "diverged", d, orbit
+        if d <= accept:
+            return "converged", d, orbit
+        if d > near and s < near and 4.0 * s * s <= d * (s_prev - s):
+            return "stalled", d, orbit
+        v, s_prev, d_prev = w, s, d
+    return "converged" if d_prev <= near else "horizon-reached", d_prev, orbit
 
 
 def discrete_lf_layer_step(model: SystemModel, lam: float, q: float, v_y, v_inf):
-    """One implicit step of the discrete layer recursion, mu = lam/(2 q):
-    ``_lf_step`` from v_y, so the root in the basin of v_y is selected and
-    the profile is continuous in its starting value.  A float for a scalar
-    model; RuntimeError when Newton fails."""
-    w, failed = _lf_step(model, lam / (2.0 * q), np.array(v_y, dtype=float, ndmin=2),
-                         model.flux(np.array(v_inf, dtype=float, ndmin=2)))
-    if failed[0]:
+    """One implicit step of the discrete layer recursion, mu = lam/(2 q), from
+    v_y, so the root in the basin of v_y is selected and the profile is
+    continuous in its starting value: ``_lf_step_scalar`` (a float) for a
+    scalar model, ``_lf_step`` otherwise.  RuntimeError when Newton fails."""
+    mu = lam / (2.0 * q)
+    if model.dimension == 1:
+        w, failed = _lf_step_scalar(model, mu, float(v_y), model.flux(float(v_inf)))
+    else:
+        (w,), (failed,) = _lf_step(model, mu, np.array(v_y, dtype=float, ndmin=2),
+                                   model.flux(np.array(v_inf, dtype=float, ndmin=2)))
+    if failed:
         raise RuntimeError("Newton failed in the discrete layer step")
-    return float(w[0, 0]) if model.dimension == 1 else w[0]
+    return w
 
 
 def discrete_layer_membership(model: SystemModel, scheme, u_B, v_inf,
@@ -437,28 +462,26 @@ def discrete_layer_membership(model: SystemModel, scheme, u_B, v_inf,
     if scheme[0] != "lf":
         raise ValueError("scheme must be ('lf', lam, q) or ('godunov',)")
     _, lam, q = scheme
-    verdict, dist, orbit = _lf_orbit(model, lam / (2.0 * q), u0, vi[None], y_max)
-    states = np.asarray(orbit)
-    return LayerProfile("discrete", np.arange(len(states), dtype=float),
-                        states[:, 0] if model.dimension == 1 else states, u0, vi,
-                        _VERDICTS[verdict[0]], float(dist[0]))
+    start, limit = (float(u0[0]), float(vi[0])) if model.dimension == 1 else (u0, vi)
+    verdict, dist, orbit = _lf_orbit(model, lam / (2.0 * q), start, limit, y_max)
+    return LayerProfile("discrete", np.arange(len(orbit), dtype=float), np.asarray(orbit),
+                        u0, vi, verdict, dist)
 
 
 def lf_membership_scalar_batch(model: SystemModel, lam: float, q: float,
                                u_B: float, v_infs, y_max: int = 500,
                                member_tol=None):
     """Scalar LF membership by iterating the layer recursion itself, one
-    ``_lf_orbit`` over all candidates: a boolean array of v_infs' shape.
+    ``_lf_orbit`` on floats per candidate: a boolean array of v_infs' shape.
     ``member_tol`` is the accept distance (default 1e-9-ish); loosen it
     together with a larger ``y_max`` when the contraction factors are close
     to one (small mu = lam/2q).  This is the independent cross-check of the
     exact phase-line oracle (module docstring)."""
     vi = np.asarray(v_infs, dtype=float)
-    if member_tol is not None:
-        member_tol = np.broadcast_to(np.asarray(member_tol, dtype=float), vi.shape).ravel()
-    verdict, _, _ = _lf_orbit(model, lam / (2.0 * q), np.array([float(u_B)]),
-                              vi.reshape(-1, 1), y_max, member_tol)
-    return (verdict == 0).reshape(vi.shape)
+    tols = ([None] * vi.size if member_tol is None else
+            np.broadcast_to(np.asarray(member_tol, dtype=float), vi.shape).ravel().tolist())
+    return np.array([_lf_orbit(model, lam / (2.0 * q), float(u_B), v, y_max, t)[0] == "converged"
+                     for v, t in zip(vi.ravel().tolist(), tols)], dtype=bool).reshape(vi.shape)
 
 
 # --- Stable-manifold reports -------------------------------------------------
@@ -582,4 +605,4 @@ def elasto_layer_curve(model: SystemModel, base, v_inf_range) -> CurveSet:
 
     t = np.array([1.0, np.sqrt(float(law["sigma_prime"](v_B)))])
     return CurveSet(base_point=np.array([v_B, u_B]), points=np.array([[v, u_inf(v)] for v in vs]),
-                    tangent=t / np.linalg.norm(t), dimension=1)
+                    tangent=t / np.linalg.norm(t))

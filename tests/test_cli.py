@@ -858,6 +858,24 @@ def test_profile_with_non_finite_start_velocity_exits_3(model, u_B, tmp_path):
     assert rep["message"] == "the layer ODE's velocity at u_B is not finite"
 
 
+@pytest.mark.parametrize("model, u_B, v_inf, name", [
+    ("burgers", 1e155, -0.5, "u_B = 1e+155"), ("burgers", 1e200, -0.5, "u_B = 1e+200"),
+    ("cubic", 1e103, -0.5, "u_B = 1e+103"), ("cubic", 1.5, 1e103, "v_inf = 1e+103")])
+def test_lf_profile_with_a_flux_that_is_not_finite_exits_3(model, u_B, v_inf, name, tmp_path):
+    # the orbit names the overflowing flux before any step, so the exit and
+    # message do not hang on whether warnings are errors, and none is issued
+    cfg = {"task": "layer", "model": {"name": model},
+           "params": {"mode": "profile", "regularization": {"type": "lf", "lam": 0.1, "q": 0.5},
+                      "u_B": u_B, "v_inf": v_inf}}
+    for action in ("error", "default"):
+        (tmp_path / action).mkdir()
+        with warnings.catch_warnings(record=True) as issued:
+            warnings.simplefilter(action)
+            code, rep = _run_in_process(cfg, tmp_path / action)
+        assert code == 3 and rep["error"] == "numerical" and not issued, action
+        assert rep["message"] == f"the flux at {name} is not finite"
+
+
 def test_lf_profile_with_a_jacobian_that_is_not_finite_exits_3(tmp_path):
     # gamma = 1e300 overflows the Jacobian at v_inf: the manifold report
     # names it, instead of the strict JSON writer's non-finite result

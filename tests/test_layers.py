@@ -14,7 +14,7 @@ from quarterplane.layers import (
     viscous_layer_profile,
     viscous_member_scalar,
 )
-from quarterplane.layers import _lf_step, _newton_step
+from quarterplane.layers import _lf_step, _lf_step_scalar, _newton_step
 from quarterplane.systems import UnsupportedModelError, make_model
 
 BURGERS = make_model("burgers")
@@ -153,6 +153,71 @@ def test_step_ladder_equals_sequential_halving(model):
         assert np.array_equal(w, w_ref), mu  # the failed states' last rung included
         n_failed += np.count_nonzero(failed)
     assert n_failed > 0
+
+
+def test_scalar_step_equals_the_batched_step_bit_for_bit():
+    # the float twin takes the batched kernel's operations at M = 1, w and
+    # failed alike, failing ladders included; the state 1/mu zeroes Burgers'
+    # Newton denominator
+    rng = np.random.default_rng(33)
+    n_ladder = n_zero_den = 0
+    for model in (BURGERS, CUBIC, QUARTIC):
+        for mu in (0.1, 0.25, 0.5):
+            v, v_inf = rng.uniform(-2.5, 2.5, (61, 1)), rng.uniform(-2.5, 2.5, (61, 1))
+            v[0, 0] = 1.0 / mu
+            f_inf = model.flux(v_inf)
+            for v_i, f_i in zip(v, f_inf):
+                w_ref, failed_ref = _lf_step(model, mu, v_i[None], f_i[None])
+                w, failed = _lf_step_scalar(model, mu, float(v_i[0]), float(f_i[0]))
+                assert type(w) is float and failed is bool(failed_ref[0]), (model.name, mu, v_i)
+                assert np.array(w).view(np.uint64) == w_ref[0].view(np.uint64), (model.name, mu, v_i)
+                n_ladder += failed and np.isfinite(w)
+                n_zero_den += bool(mu * model.dflux(v_i) - 1.0 == 0.0)
+    assert n_ladder > 0 and n_zero_den > 0
+
+
+def _lf_orbit_batched(model, mu, u_B, v_inf, y_max=500):
+    # the verdict rule of discrete_layer_membership on one-state arrays
+    # stepped by the batched kernel at M = 1: the reference of the float orbit
+    tol = 1e-6 * (1.0 + abs(v_inf))
+    accept, near = 1e-3 * tol, tol
+    dist = abs(u_B - v_inf)
+    blow = 10.0 * (1.0 + dist + abs(v_inf))
+    f_inf = model.flux(np.array([[v_inf]]))
+    v, s_prev, d_prev, orbit = np.array([[u_B]]), blow, dist, [u_B]
+    for _ in range(y_max):
+        w, failed = _lf_step(model, mu, v, f_inf)
+        if failed[0]:
+            return "diverged", d_prev, orbit
+        orbit.append(w[0, 0])
+        d, s = abs(w[0, 0] - v_inf), abs(w[0, 0] - v[0, 0])
+        if not d <= blow:
+            return "diverged", d, orbit
+        if d <= accept:
+            return "converged", d, orbit
+        if d > near and s < near and 4.0 * s * s <= d * (s_prev - s):
+            return "stalled", d, orbit
+        v, s_prev, d_prev = w, s, d
+    return "converged" if d_prev <= near else "horizon-reached", d_prev, orbit
+
+
+@pytest.mark.parametrize("model, u_B, v_inf, expected", [
+    (BURGERS, 1.0, -2.0, "converged"), (BURGERS, 1.0, -0.5, "diverged"),
+    (CUBIC, 1.5, -0.5, "converged"), (CUBIC, 1.5, 0.7, "diverged")],
+    ids=["burgers-member", "burgers-nonmember", "cubic-member", "cubic-nonmember"])
+def test_scalar_profile_equals_the_batched_orbit(model, u_B, v_inf, expected):
+    # the layer task's four LF profile cases of the quick_tasks benchmark
+    # (lam 0.1, q 0.5), each start and limit jittered by up to 0.05
+    rng = np.random.default_rng(34)
+    verdicts = set()
+    for _ in range(20):
+        start, limit = u_B + rng.uniform(-0.05, 0.05), v_inf + rng.uniform(-0.05, 0.05)
+        prof = discrete_layer_membership(model, ("lf", 0.1, 0.5), start, limit)
+        verdict, dist, orbit = _lf_orbit_batched(model, 0.1, start, limit)
+        assert prof.verdict == verdict and prof.distance_at_horizon == dist, (start, limit)
+        assert np.array_equal(prof.states, orbit), (start, limit)
+        verdicts.add(verdict)
+    assert verdicts == {expected}
 
 
 def test_failing_step_makes_at_most_two_flux_calls_per_newton_iteration():
